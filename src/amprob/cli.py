@@ -15,8 +15,9 @@ import csv
 import json
 import sys
 from datetime import datetime, timezone
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import events, frequency, slits
 from .config import ExperimentConfig, parse_config
@@ -53,7 +54,7 @@ def _run_coin(params: Dict[str, Any]) -> Tuple[Dict[str, Any], None]:
 
 
 def _run_nslit(params: Dict[str, Any]
-               ) -> Tuple[Dict[str, Any], List[List[Any]]]:
+               ) -> Tuple[Dict[str, Any], Iterable[Sequence[Any]]]:
     geom = _geometry(params)
     opened = params.get("open_slits")
     if opened is None:
@@ -70,29 +71,27 @@ def _run_nslit(params: Dict[str, Any]
         "fringe_spacing_estimate_m": spacing,
         "peak_intensity": max(profile.probabilities),
     }
-    rows = [["y_m", "probability"]]
-    rows += [[y, p] for y, p in zip(profile.screen_points,
-                                    profile.probabilities)]
+    rows = chain([("y_m", "probability")],
+                 zip(profile.screen_points, profile.probabilities))
     return summary, rows
 
 
 def _run_sorkin(params: Dict[str, Any]
-                ) -> Tuple[Dict[str, Any], List[List[Any]]]:
+                ) -> Tuple[Dict[str, Any], Iterable[Sequence[Any]]]:
     geom = _geometry(params)
     triple = tuple(params["triple"])
     profile = slits.intensity_profile(geom, params["y_min"], params["y_max"],
                                       params["n_points"], triple)
     peak = max(profile.probabilities)
-    residuals = [slits.sorkin_invariant(geom, y, triple)
-                 for y in profile.screen_points]
+    residuals = slits.sorkin_invariant(geom, profile.screen_points, triple)
     summary = {
         "experiment": "sorkin",
         "triple": list(triple),
         "peak_scale": peak,
-        "max_abs_I3": max(abs(r) for r in residuals),
+        "max_abs_I3": max(map(abs, residuals)),
     }
-    rows = [["y_m", "I3", "peak_scale"]]
-    rows += [[y, r, peak] for y, r in zip(profile.screen_points, residuals)]
+    rows = chain([("y_m", "I3", "peak_scale")],
+                 zip(profile.screen_points, residuals, repeat(peak)))
     return summary, rows
 
 
@@ -143,7 +142,8 @@ _RUNNERS = {
 
 
 def _write_outputs(base: Path, summary: Dict[str, Any],
-                   rows: Optional[List[List[Any]]], config: ExperimentConfig,
+                   rows: Optional[Iterable[Sequence[Any]]],
+                   config: ExperimentConfig,
                    timestamp: bool) -> None:
     if timestamp:
         summary["generated_at"] = datetime.now(timezone.utc).isoformat()

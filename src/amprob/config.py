@@ -9,7 +9,7 @@ carry the offending key and line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import ConfigError

@@ -9,7 +9,7 @@ the amplitudes carry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .amplitude import (
@@ -54,8 +54,9 @@ class SampleSpace:
         return abs(self.total_probability() - 1.0) <= NORMALIZATION_TOL
 
     def probabilities(self) -> Dict[str, Probability]:
-        return {lab: _scaled_born(self, i)
-                for i, lab in enumerate(self.labels)}
+        total = self.total_probability()
+        return {lab: _scaled_born(a, total)
+                for lab, a in zip(self.labels, self.amplitudes)}
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,12 @@ def classical_space(weights: Sequence[float],
     return SampleSpace(tuple(labels), amps)
 
 
-def _scaled_born(space: SampleSpace, index: int) -> Probability:
+def _scaled_born(amplitude: Amplitude, total: float) -> Probability:
     # Dividing by the space total makes normalized spaces report exactly
     # normalized probabilities (sqrt(1/2)**2 squares to 0.5 + 1 ulp; the
     # ratio x / (x + x) does not). Unnormalized spaces keep raw |A|^2.
-    p = born_probability(space.amplitudes[index])
-    total = space.total_probability()
+    # Callers compute the total once per call, not once per outcome.
+    p = born_probability(amplitude)
     if abs(total - 1.0) <= NORMALIZATION_TOL and total > 0:
         return p / total
     return p
@@ -109,7 +110,8 @@ def _scaled_born(space: SampleSpace, index: int) -> Probability:
 def outcome_probability(space: SampleSpace, label: str) -> Probability:
     """Born probability of one outcome (exactly renormalized when the space
     is normalized)."""
-    return _scaled_born(space, space.index(label))
+    return _scaled_born(space.amplitudes[space.index(label)],
+                        space.total_probability())
 
 
 def event_probability(space: SampleSpace,
@@ -117,7 +119,9 @@ def event_probability(space: SampleSpace,
     """Probability of a set of outcomes: plain sum of per-outcome
     probabilities. No cross terms by orthogonality."""
     indices = {space.index(lab) for lab in subset}
-    return sum(_scaled_born(space, i) for i in sorted(indices))
+    total = space.total_probability()
+    return sum(_scaled_born(space.amplitudes[i], total)
+               for i in sorted(indices))
 
 
 def normalize(space: SampleSpace) -> SampleSpace:

@@ -145,3 +145,13 @@ def test_unwritable_output_exit_3(tmp_path):
     blocker.write_text("file, not a directory")
     out = blocker / "sub" / "result"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+
+
+def test_unresolvable_phase_exit_2(tmp_path, capsys):
+    # an excess path of ~1e10 m is 2e16 wavelengths at 500 nm, beyond the
+    # 2**52 at which float64 keeps no fraction of a cycle
+    text = NSLIT.replace("y_max = 0.1", "y_max = 1e10")
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    assert "2**52 wavelengths" in capsys.readouterr().err
+    assert not out.with_suffix(".json").exists()

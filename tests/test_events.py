@@ -228,3 +228,16 @@ def test_phase_randomization_does_not_change_probabilities():
         subset = [lab for lab in labels if rng.random() < 0.5]
         assert event_probability(rotated, subset) == pytest.approx(
             event_probability(base, subset), abs=1e-12)
+
+
+def test_probabilities_take_one_total_per_call(monkeypatch):
+    space = classical_space([1.0, 2.0, 3.0, 4.0], ["a", "b", "c", "d"])
+    expected = space.probabilities()
+    event = event_probability(space, ["a", "c", "d"])
+    calls = []
+    original = SampleSpace.total_probability
+    monkeypatch.setattr(SampleSpace, "total_probability",
+                        lambda self: calls.append(1) or original(self))
+    assert space.probabilities() == expected
+    assert event_probability(space, ["a", "c", "d"]) == event
+    assert len(calls) == 2

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import amprob
 from amprob import (
+    InvariantError,
     SlitGeometry,
     UsageError,
     arrival_probability,
@@ -15,8 +17,10 @@ from amprob import (
     pairwise_interference,
     path_amplitude,
     refined_maxima,
+    slits,
     sorkin_invariant,
 )
+from amprob.cli import main
 
 WAVELENGTH = 500e-9
 D = 10e-6
@@ -319,3 +323,160 @@ def test_refined_maxima_on_cosine():
     peaks = refined_maxima(prof)
     assert len(peaks) == 1
     assert peaks[0] == pytest.approx(2 * math.pi, rel=1e-3)
+
+
+def mp_probability(geom, y, opened):
+    """50-digit oracle: exact-path amplitudes exp(2 pi i (L1 + L2) / lambda)
+    / sqrt(n_slits), summed, then squared, from the geometry's binary
+    values."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        sx, sy = (mpmath.mpf(v) for v in geom.source)
+        x1, x2 = mpmath.mpf(geom.slit_plane_x), mpmath.mpf(geom.screen_plane_x)
+        total = mpmath.mpc(0)
+        for i in opened:
+            off = mpmath.mpf(geom.slit_offsets[i])
+            length = (mpmath.hypot(x1 - sx, off - sy)
+                      + mpmath.hypot(x2 - x1, mpmath.mpf(y) - off))
+            total += mpmath.expjpi(2 * length / mpmath.mpf(geom.wavelength))
+        total /= mpmath.sqrt(geom.n_slits)
+        return total.real ** 2 + total.imag ** 2
+
+
+@pytest.mark.parametrize("geom, n_points", [
+    (two_slit(), 2001),  # the README double slit
+    (SlitGeometry(source=(-0.7, 2e-6), slit_plane_x=0.0,
+                  slit_offsets=tuple(np.linspace(-35e-6, 35e-6, 8).tolist()),
+                  screen_plane_x=1.3, wavelength=633e-9), 401),
+])
+def test_profile_against_mpmath_oracle(geom, n_points):
+    pytest.importorskip("mpmath")
+    opened = range(geom.n_slits)
+    profile = intensity_profile(geom, -0.1, 0.1, n_points)
+    worst = max(abs(p - float(mp_probability(geom, y, opened)))
+                for y, p in zip(profile.screen_points,
+                                profile.probabilities))
+    # reducing full leg lengths mod lambda left ~3e-9 here
+    assert worst <= 1e-10
+
+
+def test_profile_equals_per_point_arrival():
+    rng = np.random.default_rng(41)
+    # 3001 points span several kernel blocks at every slit count
+    for n in (1, 2, 3, 8, 40):
+        geom = random_geometry(rng, n)
+        k = max(1, n // 2)
+        opened = sorted(rng.choice(n, size=k, replace=False).tolist())
+        profile = intensity_profile(geom, -0.05, 0.05, 3001, opened)
+        assert profile.probabilities == tuple(
+            arrival_probability(geom, y, opened)
+            for y in profile.screen_points)
+
+
+def test_sorkin_array_equals_per_point_calls():
+    rng = np.random.default_rng(43)
+    geom = random_geometry(rng, 5)
+    ys = np.linspace(-0.05, 0.05, 2501)
+    residuals = sorkin_invariant(geom, ys, (3, 0, 4))
+    assert isinstance(residuals, tuple)
+    assert all(type(r) is float for r in residuals)
+    assert residuals == tuple(sorkin_invariant(geom, float(y), (3, 0, 4))
+                              for y in ys)
+    assert sorkin_invariant(geom, [], (0, 1, 2)) == ()
+
+
+def test_unresolvable_phase_rejected():
+    # past 2**52 wavelengths of excess path fmod returns only 0; the seed
+    # engine wrote a flat, meaningless profile here
+    with pytest.raises(UsageError, match="2\\*\\*52"):
+        intensity_profile(two_slit(), 0.0, 1e10, 3)
+    with pytest.raises(UsageError):
+        intensity_profile(two_slit(), 0.0, 1e300, 3)
+
+
+NSLIT_CFG = """\
+experiment = nslit
+wavelength_nm = 500
+source_x = -1.0
+screen_plane_x = 1.0
+slit_offsets_um = -5, 5
+y_min = -0.1
+y_max = 0.1
+n_points = 2001
+"""
+SORKIN_CFG = """\
+experiment = sorkin
+wavelength_nm = 500
+source_x = -1.0
+screen_plane_x = 1.0
+slit_offsets_um = -10, 0, 10
+y_min = -0.02
+y_max = 0.02
+n_points = 201
+"""
+
+
+def run_cli(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return main(["run", "--config", str(cfg), "--out",
+                 str(tmp_path / "run"), "--no-timestamp"])
+
+
+def test_dual_form_disagreement_raises(monkeypatch, tmp_path):
+    monkeypatch.setattr(slits, "DUAL_FORM_RTOL", -1.0)
+    with pytest.raises(InvariantError, match="at y=-0.1$"):
+        intensity_profile(two_slit(), -0.1, 0.1, 11)
+    assert run_cli(tmp_path, NSLIT_CFG) == 4
+
+
+def test_cli_slit_runs_make_no_per_point_calls(monkeypatch, tmp_path):
+    def per_point(*args, **kwargs):
+        raise AssertionError("per-point arrival_probability call")
+
+    monkeypatch.setattr(slits, "arrival_probability", per_point)
+    monkeypatch.setattr(amprob, "arrival_probability", per_point)
+    assert run_cli(tmp_path, NSLIT_CFG) == 0
+    assert run_cli(tmp_path, SORKIN_CFG) == 0
+
+
+def loop_refined_maxima(profile):
+    """Reference: the per-point loop refined_maxima replaced."""
+    y, p = profile.screen_points, profile.probabilities
+    peaks = []
+    for k in range(1, len(p) - 1):
+        if p[k] > p[k - 1] and p[k] >= p[k + 1]:
+            denom = p[k - 1] - 2.0 * p[k] + p[k + 1]
+            if denom < 0:
+                shift = 0.5 * (p[k - 1] - p[k + 1]) / denom
+                peaks.append(y[k] + shift * (y[k + 1] - y[k]))
+            else:
+                peaks.append(y[k])
+    return peaks
+
+
+def loop_fringe_spacing(profile):
+    """Reference: the median of sorted gaps fringe_spacing replaced."""
+    peaks = loop_refined_maxima(profile)
+    if len(peaks) < 2:
+        return None
+    gaps = sorted(b - a for a, b in zip(peaks, peaks[1:]))
+    mid = len(gaps) // 2
+    if len(gaps) % 2:
+        return gaps[mid]
+    return 0.5 * (gaps[mid - 1] + gaps[mid])
+
+
+def test_peak_analysis_equals_loop_reference():
+    from amprob import IntensityProfile
+    rng = np.random.default_rng(47)
+    profiles = [intensity_profile(two_slit(), -0.1, 0.1, 2001),
+                intensity_profile(random_geometry(rng, 6), -0.05, 0.05, 999)]
+    for n in (3, 4, 40, 41):
+        # coarse levels give plateaus, so flat-topped peaks occur
+        p = tuple(float(v) for v in rng.integers(0, 4, size=n) / 3)
+        y = tuple(np.linspace(-1.0, 1.0, n).tolist())
+        profiles.append(IntensityProfile(screen_points=y, probabilities=p))
+    for profile in profiles:
+        assert refined_maxima(profile) == loop_refined_maxima(profile)
+        assert fringe_spacing(profile) == loop_fringe_spacing(profile)
