@@ -4,7 +4,8 @@
 configured experiment and writes `BASE.json` (always) plus `BASE.csv` for
 the tabular experiments. `amprob validate --config FILE` parses only.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 internal
+Exit codes: 0 success, 2 configuration error (including a config that
+asks for more memory than the machine has), 3 I/O error, 4 internal
 invariant violation.
 """
 
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import events, frequency, slits
-from .config import ExperimentConfig, parse_config
+from .config import JOINT_KEY_SEP, ExperimentConfig, parse_config
 from .errors import ConfigError, InvariantError, UsageError
 
 EXIT_OK = 0
@@ -29,33 +30,22 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-def _geometry(params: Dict[str, Any]) -> slits.SlitGeometry:
-    return slits.SlitGeometry(
-        source=(params["source_x"], params["source_y"]),
-        slit_plane_x=params["slit_plane_x"],
-        slit_offsets=tuple(params["slit_offsets"]),
-        screen_plane_x=params["screen_plane_x"],
-        wavelength=params["wavelength"],
-    )
-
-
-def _run_coin(params: Dict[str, Any]) -> Tuple[Dict[str, Any], None]:
-    space = events.classical_space(params["weights"], params["labels"])
+def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
+              ) -> Tuple[Dict[str, Any], None]:
     stats = events.guess_game(space)
     summary = {
         "experiment": "coin",
         "labels": list(space.labels),
         "probabilities": space.probabilities(),
         "p_correct": stats.p_correct,
-        "joint_table": {f"{call}*{fall}": p
+        "joint_table": {f"{call}{JOINT_KEY_SEP}{fall}": p
                         for (call, fall), p in stats.joint_table.items()},
     }
     return summary, None
 
 
-def _run_nslit(params: Dict[str, Any]
+def _run_nslit(geom: slits.SlitGeometry, params: Dict[str, Any]
                ) -> Tuple[Dict[str, Any], Iterable[Sequence[Any]]]:
-    geom = _geometry(params)
     opened = params.get("open_slits")
     if opened is None:
         opened = list(range(geom.n_slits))
@@ -76,9 +66,8 @@ def _run_nslit(params: Dict[str, Any]
     return summary, rows
 
 
-def _run_sorkin(params: Dict[str, Any]
+def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
                 ) -> Tuple[Dict[str, Any], Iterable[Sequence[Any]]]:
-    geom = _geometry(params)
     triple = tuple(params["triple"])
     profile = slits.intensity_profile(geom, params["y_min"], params["y_max"],
                                       params["n_points"], triple)
@@ -95,8 +84,8 @@ def _run_sorkin(params: Dict[str, Any]
     return summary, rows
 
 
-def _run_delayed(params: Dict[str, Any]) -> Tuple[Dict[str, Any], None]:
-    geom = _geometry(params)
+def _run_delayed(geom: slits.SlitGeometry, params: Dict[str, Any]
+                 ) -> Tuple[Dict[str, Any], None]:
     detectors = params.get("detector_y")
     if detectors is None:
         detectors = list(geom.slit_offsets)
@@ -111,9 +100,8 @@ def _run_delayed(params: Dict[str, Any]) -> Tuple[Dict[str, Any], None]:
     return summary, None
 
 
-def _run_freq(params: Dict[str, Any]
+def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
               ) -> Tuple[Dict[str, Any], List[List[Any]]]:
-    space = events.classical_space(params["weights"], params["labels"])
     report = frequency.convergence_report(space, params["schedule"],
                                           params["seed"])
     true_mags = {lab: a.magnitude
@@ -142,21 +130,22 @@ _RUNNERS = {
 
 
 def _write_outputs(base: Path, summary: Dict[str, Any],
-                   rows: Optional[Iterable[Sequence[Any]]],
-                   config: ExperimentConfig,
-                   timestamp: bool) -> None:
+                   rows: Optional[Iterable[Sequence[Any]]], fmt: str,
+                   timestamp: bool) -> List[Path]:
+    """Write BASE.json, and BASE.csv when there are rows and the format is
+    csv; returns the paths written."""
     if timestamp:
         summary["generated_at"] = datetime.now(timezone.utc).isoformat()
     base.parent.mkdir(parents=True, exist_ok=True)
-    with open(base.with_suffix(".json"), "w", encoding="utf-8",
-              newline="\n") as fh:
+    written = [base.with_suffix(".json")]
+    with open(written[0], "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    if rows is not None and config.format == "csv":
-        with open(base.with_suffix(".csv"), "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(rows)
+    if rows is not None and fmt == "csv":
+        written.append(base.with_suffix(".csv"))
+        with open(written[1], "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return written
 
 
 def run_experiment(config: ExperimentConfig, out: Optional[str] = None,
@@ -167,12 +156,9 @@ def run_experiment(config: ExperimentConfig, out: Optional[str] = None,
         raise ConfigError("no output path: set 'output' in the config or "
                           "pass --out", "output", None)
     base = Path(base_str)
-    summary, rows = _RUNNERS[config.experiment](config.params)
-    _write_outputs(base, summary, rows, config, timestamp)
-    written = [base.with_suffix(".json")]
-    if rows is not None and config.format == "csv":
-        written.append(base.with_suffix(".csv"))
-    return written
+    summary, rows = _RUNNERS[config.experiment](config.subject,
+                                                config.params)
+    return _write_outputs(base, summary, rows, config.format, timestamp)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -195,29 +181,27 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: config is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         config = parse_config(text)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.command == "validate":
-        print(f"ok: {config.experiment} config is valid")
-        return EXIT_OK
-
-    try:
+        if args.command == "validate":
+            print(f"ok: {config.experiment} config is valid")
+            return EXIT_OK
         written = run_experiment(config, out=args.out,
                                  timestamp=not args.no_timestamp)
-    except ConfigError as exc:
+    except UsageError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: not enough memory for this config: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

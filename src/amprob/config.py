@@ -4,18 +4,28 @@ One `key = value` per line, `#` starts a comment, lists are comma
 separated. Lengths are SI meters; float keys also accept `_nm`, `_um` and
 `_mm` suffixed variants which are converted at parse time. Parse errors
 carry the offending key and line number.
+
+An `ExperimentConfig` is checked when it is constructed: it builds the
+run's subject (its `SampleSpace` or `SlitGeometry`) and calls the
+argument checks of the kernels the run feeds, so each rule lives in the
+domain code that owns it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .errors import ConfigError
+from . import events, frequency, slits
+from .errors import ConfigError, UsageError
 
-EXPERIMENTS = ("coin", "nslit", "sorkin", "delayed", "freq")
-FORMATS = ("csv", "json")
+# experiment -> the output formats it can write; the first is the default.
+OUTPUT_FORMATS = {"coin": ("json",), "nslit": ("csv", "json"),
+                  "sorkin": ("csv", "json"), "delayed": ("json",),
+                  "freq": ("csv", "json")}
+# Joins a (call, fall) pair into one key of the coin's joint_table.
+JOINT_KEY_SEP = "*"
 
 _UNIT_SUFFIXES = {"_nm": 1e-9, "_um": 1e-6, "_mm": 1e-3}
 
@@ -64,16 +74,54 @@ FIELD_REGISTRY: Dict[str, Dict[str, Tuple[str, bool, Any]]] = {
     },
 }
 
-_DEFAULT_FORMAT = {"coin": "json", "nslit": "csv", "sorkin": "csv",
-                   "delayed": "json", "freq": "csv"}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked experiment. Construction builds `subject` once, the
+    sample space (coin, freq) or slit geometry (nslit, sorkin, delayed)
+    the run uses, and raises `UsageError` naming the key at fault."""
+
     experiment: str
     params: Dict[str, Any]
     output: Optional[str] = None
-    format: str = "csv"
+    format: Optional[str] = None  # None: the experiment's default
+    subject: Union[events.SampleSpace, slits.SlitGeometry] = field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        formats = OUTPUT_FORMATS[self.experiment]
+        if self.format is None:
+            object.__setattr__(self, "format", formats[0])
+        elif self.format not in formats:
+            raise UsageError(f"experiment {self.experiment!r} writes "
+                             f"{' or '.join(formats)}", "format")
+        p = self.params
+        if self.experiment in ("coin", "freq"):
+            subject = events.classical_space(p["weights"], p["labels"])
+        else:
+            subject = slits.SlitGeometry(
+                source=(p["source_x"], p["source_y"]),
+                slit_plane_x=p["slit_plane_x"],
+                slit_offsets=tuple(p["slit_offsets"]),
+                screen_plane_x=p["screen_plane_x"],
+                wavelength=p["wavelength"])
+        if self.experiment == "coin":
+            if any(JOINT_KEY_SEP in label for label in p["labels"]):
+                raise UsageError(f"coin labels may not contain "
+                                 f"{JOINT_KEY_SEP!r}, which joins the "
+                                 "joint_table keys", "labels")
+        elif self.experiment == "freq":
+            frequency.check_schedule(p["schedule"], p["seed"])
+        elif self.experiment == "nslit":
+            slits.check_profile(subject, p["y_min"], p["y_max"],
+                                p["n_points"], p.get("open_slits"))
+        elif self.experiment == "sorkin":
+            slits.check_triple(subject, p["triple"])
+            slits.check_profile(subject, p["y_min"], p["y_max"],
+                                p["n_points"], p["triple"])
+        elif p.get("detector_y") is not None:
+            slits.check_detectors(subject, p["detector_y"])
+        object.__setattr__(self, "subject", subject)
 
 
 def _parse_scalar(kind: str, raw: str, key: str, line: int) -> Any:
@@ -127,33 +175,28 @@ def _resolve_unit(key: str) -> Tuple[str, float]:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a configuration document."""
     assignments = _split_lines(text)
-    seen: Dict[str, int] = {}
+    lines: Dict[str, int] = {}  # line of each key, raw and unit-resolved
 
     experiment = None
-    exp_line = None
     output = None
     fmt = None
     pending: List[Tuple[int, str, str]] = []
     for lineno, key, raw in assignments:
-        if key in seen:
-            raise ConfigError(f"duplicate key (first at line {seen[key]})",
+        if key in lines:
+            raise ConfigError(f"duplicate key (first at line {lines[key]})",
                               key, lineno)
-        seen[key] = lineno
+        lines[key] = lineno
         if key == "experiment":
-            if raw not in EXPERIMENTS:
+            if raw not in OUTPUT_FORMATS:
                 raise ConfigError(
                     f"unknown experiment {raw!r}; expected one of "
-                    f"{', '.join(EXPERIMENTS)}", key, lineno)
+                    f"{', '.join(OUTPUT_FORMATS)}", key, lineno)
             experiment = raw
-            exp_line = lineno
         elif key == "output":
             if not raw:
                 raise ConfigError("empty output path", key, lineno)
             output = raw
         elif key == "format":
-            if raw not in FORMATS:
-                raise ConfigError(f"format must be one of {FORMATS}", key,
-                                  lineno)
             fmt = raw
         else:
             pending.append((lineno, key, raw))
@@ -161,11 +204,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if experiment is None:
         raise ConfigError("missing required key", "experiment", None)
     registry = FIELD_REGISTRY[experiment]
-    if fmt is None:
-        fmt = _DEFAULT_FORMAT[experiment]
 
     params: Dict[str, Any] = {}
-    lines: Dict[str, int] = {"experiment": exp_line}
     for lineno, key, raw in pending:
         base, scale = _resolve_unit(key)
         if base not in registry:
@@ -193,85 +233,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 params[key] = list(default) if isinstance(default, list) \
                     else default
 
-    _validate(experiment, params, lines, fmt)
-    return ExperimentConfig(experiment=experiment, params=params,
-                            output=output, format=fmt)
-
-
-def _fail(message: str, key: str, lines: Dict[str, int]) -> None:
-    raise ConfigError(message, key, lines.get(key))
-
-
-def _validate(experiment: str, params: Dict[str, Any],
-              lines: Dict[str, int], fmt: str) -> None:
-    if experiment in ("coin", "delayed") and fmt == "csv":
-        _fail(f"experiment {experiment!r} produces JSON output only",
-              "format", lines)
-
-    if experiment in ("coin", "freq"):
-        weights = params["weights"]
-        labels = params["labels"]
-        if any(w < 0 for w in weights):
-            _fail("weights must be non-negative", "weights", lines)
-        if sum(weights) <= 0:
-            _fail("at least one weight must be positive", "weights", lines)
-        if len(labels) != len(weights):
-            _fail("labels must match weights in length", "labels", lines)
-        if len(set(labels)) != len(labels) or any(not l for l in labels):
-            _fail("labels must be distinct and non-empty", "labels", lines)
-
-    if experiment == "freq":
-        schedule = params["schedule"]
-        if any(n < 1 for n in schedule):
-            _fail("schedule entries must be positive", "schedule", lines)
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            _fail("schedule must be strictly increasing", "schedule", lines)
-        if not 0 <= params["seed"] < 2 ** 64:
-            _fail("seed must fit in 64 unsigned bits", "seed", lines)
-
-    if experiment in ("nslit", "sorkin", "delayed"):
-        if params["wavelength"] <= 0:
-            _fail("wavelength must be positive", "wavelength", lines)
-        if not params["source_x"] < params["slit_plane_x"]:
-            _fail("source_x must lie before slit_plane_x", "source_x", lines)
-        if not params["slit_plane_x"] < params["screen_plane_x"]:
-            _fail("screen_plane_x must lie after slit_plane_x",
-                  "screen_plane_x", lines)
-        offsets = params["slit_offsets"]
-        if any(b <= a for a, b in zip(offsets, offsets[1:])):
-            _fail("slit offsets must be strictly increasing", "slit_offsets",
-                  lines)
-        n_slits = len(offsets)
-
-    if experiment in ("nslit", "sorkin"):
-        if not params["y_min"] < params["y_max"]:
-            _fail("y_min must be less than y_max", "y_min", lines)
-        if params["n_points"] < 2:
-            _fail("n_points must be at least 2", "n_points", lines)
-
-    if experiment == "nslit":
-        opened = params.get("open_slits")
-        if opened is not None:
-            if not opened:
-                _fail("open_slits must be non-empty", "open_slits", lines)
-            if len(set(opened)) != len(opened):
-                _fail("open_slits must be distinct", "open_slits", lines)
-            if any(not 0 <= i < n_slits for i in opened):
-                _fail("open_slits index out of range", "open_slits", lines)
-
-    if experiment == "sorkin":
-        triple = params["triple"]
-        if len(triple) != 3 or len(set(triple)) != 3:
-            _fail("triple must hold three distinct indices", "triple", lines)
-        if any(not 0 <= i < n_slits for i in triple):
-            _fail("triple index out of range", "triple", lines)
-        if n_slits < 3:
-            _fail("sorkin needs at least three slits", "slit_offsets", lines)
-
-    if experiment == "delayed":
-        detectors = params.get("detector_y")
-        if detectors is not None and len(detectors) != n_slits:
-            _fail("need exactly one detector per slit", "detector_y", lines)
+    try:
+        return ExperimentConfig(experiment=experiment, params=params,
+                                output=output, format=fmt)
+    except UsageError as exc:
+        raise ConfigError(str(exc), exc.key, lines.get(exc.key)) from None
 
 
 def _format_value(value: Any) -> str:

@@ -6,7 +6,12 @@ class AmprobError(Exception):
 
 
 class UsageError(AmprobError, ValueError):
-    """The caller violated an API precondition (bad arguments)."""
+    """The caller violated an API precondition (bad arguments); `key`
+    names the argument at fault, when known."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class DomainError(AmprobError, ValueError):
@@ -23,11 +28,10 @@ class ConfigError(UsageError):
 
     def __init__(self, message: str, key: str | None = None,
                  line: int | None = None):
-        self.key = key
         self.line = line
         prefix = ""
         if line is not None:
             prefix += f"line {line}: "
         if key is not None:
             prefix += f"key '{key}': "
-        super().__init__(prefix + message)
+        super().__init__(prefix + message, key)

@@ -32,13 +32,14 @@ class SampleSpace:
 
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
-            raise UsageError("sample space needs at least one outcome")
+            raise UsageError("sample space needs at least one outcome",
+                             "labels")
         if len(self.labels) != len(self.amplitudes):
-            raise UsageError("labels and amplitudes must have equal length")
-        if any(not lab for lab in self.labels):
-            raise UsageError("outcome labels must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise UsageError("outcome labels must be distinct")
+            raise UsageError("labels and amplitudes must have equal length",
+                             "labels")
+        if not all(self.labels) or len(set(self.labels)) != len(self.labels):
+            raise UsageError("outcome labels must be non-empty and distinct",
+                             "labels")
 
     def index(self, label: str) -> int:
         try:
@@ -84,14 +85,15 @@ def classical_space(weights: Sequence[float],
     """Build a normalized space from non-negative weights; amplitude i gets
     magnitude sqrt(w_i / sum w) at phase 0."""
     if len(weights) == 0:
-        raise UsageError("weights must be non-empty")
+        raise UsageError("weights must be non-empty", "weights")
     if len(weights) != len(labels):
-        raise UsageError("weights and labels must have equal length")
+        raise UsageError("labels must match weights in length", "labels")
     if any(w < 0 or not math.isfinite(w) for w in weights):
-        raise UsageError("weights must be finite and non-negative")
+        raise UsageError("weights must be finite and non-negative", "weights")
     total = sum(weights)
-    if total <= 0:
-        raise UsageError("at least one weight must be positive")
+    if not 0 < total < math.inf:
+        raise UsageError("weights must have a positive sum that float64 "
+                         "can hold", "weights")
     amps = tuple(Amplitude(math.sqrt(w / total), 0.0) for w in weights)
     return SampleSpace(tuple(labels), amps)
 

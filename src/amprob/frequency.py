@@ -59,13 +59,30 @@ def child_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _check_count(n: int, key: str) -> None:
+    if not 1 <= n < 2 ** 63:
+        raise UsageError(f"trial count {n} is outside 1..2**63-1 (numpy "
+                         "draws int64 counts)", key)
+
+
+def check_schedule(schedule: Sequence[int], seed: int) -> None:
+    """Argument check of `convergence_report`."""
+    if len(schedule) == 0:
+        raise UsageError("schedule must be non-empty", "schedule")
+    for n in schedule:
+        _check_count(n, "schedule")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise UsageError("schedule must be strictly increasing", "schedule")
+    if not 0 <= seed < 2 ** 64:
+        raise UsageError("seed must fit in 64 unsigned bits", "seed")
+
+
 def record_trials(space: SampleSpace, n: int, seed: int) -> TrialLedger:
     """Draw n outcomes from the space's Born distribution.
 
     Identical (space, n, seed) always yields an identical ledger.
     """
-    if n < 1:
-        raise UsageError("n must be positive")
+    _check_count(n, "n")
     if not space.is_normalized:
         raise UsageError("record_trials requires a normalized space")
     probs = np.array([born_probability(a) for a in space.amplitudes])
@@ -99,12 +116,7 @@ def convergence_report(space: SampleSpace, schedule: Sequence[int],
     Each schedule entry draws from its own derived seed stream; the raw seed
     is never reused across entries.
     """
-    if len(schedule) == 0:
-        raise UsageError("schedule must be non-empty")
-    if any(n < 1 for n in schedule):
-        raise UsageError("schedule entries must be positive")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise UsageError("schedule must be strictly increasing")
+    check_schedule(schedule, seed)
     if not space.is_normalized:
         raise UsageError("convergence_report requires a normalized space")
 

@@ -40,15 +40,20 @@ class SlitGeometry:
 
     def __post_init__(self) -> None:
         if self.wavelength <= 0 or not math.isfinite(self.wavelength):
-            raise UsageError("wavelength must be positive and finite")
-        if not self.source[0] < self.slit_plane_x < self.screen_plane_x:
-            raise UsageError(
-                "planes must be ordered: source x < slit plane x < screen x")
+            raise UsageError("wavelength must be positive and finite",
+                             "wavelength")
+        if not self.source[0] < self.slit_plane_x:
+            raise UsageError("source_x must lie before slit_plane_x",
+                             "source_x")
+        if not self.slit_plane_x < self.screen_plane_x:
+            raise UsageError("screen_plane_x must lie after slit_plane_x",
+                             "screen_plane_x")
         if len(self.slit_offsets) < 1:
-            raise UsageError("at least one slit is required")
+            raise UsageError("at least one slit is required", "slit_offsets")
         if any(b <= a for a, b in zip(self.slit_offsets,
                                       self.slit_offsets[1:])):
-            raise UsageError("slit offsets must be strictly increasing")
+            raise UsageError("slit offsets must be strictly increasing",
+                             "slit_offsets")
 
     @property
     def n_slits(self) -> int:
@@ -154,15 +159,45 @@ def _born(amps: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.maximum(direct, 0.0)
 
 
-def _open_list(geom: SlitGeometry, open_slits: Iterable[int]) -> list[int]:
-    opened = sorted(set(open_slits))
+def _open_list(geom: SlitGeometry, open_slits: Iterable[int],
+               key: str = "open_slits") -> list[int]:
+    opened = sorted(open_slits)
     if not opened:
-        raise UsageError("open_slits must be non-empty")
+        raise UsageError(f"{key} must be non-empty", key)
+    if len(set(opened)) != len(opened):
+        raise UsageError(f"{key} must be distinct", key)
     for i in opened:
         if not 0 <= i < geom.n_slits:
             raise UsageError(
-                f"slit index {i} out of range 0..{geom.n_slits - 1}")
+                f"slit index {i} out of range 0..{geom.n_slits - 1}", key)
     return opened
+
+
+def check_profile(geom: SlitGeometry, y_min: float, y_max: float,
+                  n_points: int, open_slits: Optional[Iterable[int]] = None
+                  ) -> list[int]:
+    """Argument check of `intensity_profile`; returns the open slits."""
+    if not y_min < y_max:
+        raise UsageError("y_min must be less than y_max", "y_min")
+    if not 2 <= n_points <= 2 ** 53:
+        raise UsageError("n_points must be in 2..2**53, where float64 "
+                         "still counts exactly", "n_points")
+    return _open_list(geom, range(geom.n_slits) if open_slits is None
+                      else open_slits)
+
+
+def check_triple(geom: SlitGeometry, triple: Sequence[int]) -> list[int]:
+    """Argument check of `sorkin_invariant`; returns the triple sorted."""
+    if len(triple) != 3:
+        raise UsageError("triple must hold three slit indices", "triple")
+    return _open_list(geom, triple, "triple")
+
+
+def check_detectors(geom: SlitGeometry, y_detectors: Sequence[float]
+                    ) -> None:
+    """Argument check of `delayed_choice`."""
+    if len(y_detectors) != geom.n_slits:
+        raise UsageError("need exactly one detector per slit", "detector_y")
 
 
 def path_amplitude(geom: SlitGeometry, slit: int, y: float) -> PathAmplitude:
@@ -189,8 +224,6 @@ def arrival_probability(geom: SlitGeometry, y: float,
 def pairwise_interference(geom: SlitGeometry, y: float, i: int,
                           j: int) -> SignedProbability:
     """Signed cross term between slits i and j at screen point y."""
-    if i == j:
-        raise UsageError("pairwise interference needs two distinct slits")
     a, b = _amplitudes(geom, np.array([float(y)]), _open_list(geom, (i, j)))[0]
     return float(2.0 * (a.real * b.real + a.imag * b.imag))
 
@@ -201,9 +234,7 @@ def sorkin_invariant(geom: SlitGeometry, y: float | Sequence[float],
     or at each point of a sequence y (then a tuple of floats): seven
     subset-open sums, taken as column subsets of one amplitude matrix; zero
     to rounding, as probabilities hold only self and pairwise terms."""
-    if len(triple) != 3 or len(set(triple)) != 3:
-        raise UsageError("triple must contain three distinct slit indices")
-    opened = _open_list(geom, triple)
+    opened = check_triple(geom, triple)
     a, b, c = triple
 
     def residual(amps: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -221,12 +252,7 @@ def intensity_profile(geom: SlitGeometry, y_min: float, y_max: float,
                       open_slits: Optional[Iterable[int]] = None
                       ) -> IntensityProfile:
     """Arrival probability on a uniform grid of n_points screen positions."""
-    if not y_min < y_max:
-        raise UsageError("y_min must be less than y_max")
-    if n_points < 2:
-        raise UsageError("n_points must be at least 2")
-    opened = _open_list(geom, range(geom.n_slits) if open_slits is None
-                        else open_slits)
+    opened = check_profile(geom, y_min, y_max, n_points, open_slits)
     grid = np.linspace(y_min, y_max, n_points)
     probs = _blockwise(_born, geom, grid, opened)
     return IntensityProfile(screen_points=tuple(grid.tolist()),
@@ -238,8 +264,7 @@ def delayed_choice(geom: SlitGeometry,
     """Which-path mode: detector i accepts quanta only from slit i, so each
     reads the single-slit probability at its position (self terms only) and
     the interference part is structurally zero."""
-    if len(y_detectors) != geom.n_slits:
-        raise UsageError("need exactly one detector per slit")
+    check_detectors(geom, y_detectors)
     amps = np.diagonal(_amplitudes(geom, np.asarray(y_detectors, dtype=float),
                                    range(geom.n_slits)))
     per = tuple((amps.real * amps.real + amps.imag * amps.imag).tolist())

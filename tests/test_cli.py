@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from amprob import events, slits
 from amprob.cli import main
 
 GEOMETRY = """\
@@ -155,3 +157,128 @@ def test_unresolvable_phase_exit_2(tmp_path, capsys):
     assert code == 2
     assert "2**52 wavelengths" in capsys.readouterr().err
     assert not out.with_suffix(".json").exists()
+
+
+def validate(tmp_path, data, name="v"):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return main(["validate", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("text, key", [
+    ("experiment = coin\nweights = 1e308, 1e308\nlabels = h, t\n",
+     "weights"),
+    ("experiment = coin\nweights = 1, 1, 1\nlabels = a, a*b, b*a\n",
+     "labels"),
+    (FREQ.replace("100, 10000, 1000000", "100, 100000000000000000000"),
+     "schedule"),
+    (FREQ.replace("seed = 0", "seed = 18446744073709551616"), "seed"),
+    (NSLIT + "open_slits = 0, 0\n", "open_slits"),
+    (SORKIN + "triple = 0, 1\n", "triple"),
+    (DELAYED + "detector_y_um = 1, 2, 3\n", "detector_y"),
+])
+def test_rejections_exit_2_naming_key(tmp_path, capsys, text, key):
+    assert validate(tmp_path, text) == 2
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    assert capsys.readouterr().err.count(f"key '{key}'") == 2
+    assert not out.with_suffix(".json").exists()
+
+
+def test_utf8_bom_config_runs(tmp_path):
+    assert validate(tmp_path, "\ufeff" + COIN) == 0
+    assert run_cli(tmp_path, "\ufeff" + COIN)[0] == 0
+
+
+def test_non_utf8_config_exit_2(tmp_path, capsys):
+    assert validate(tmp_path, b"experiment = coin\xff\n") == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_unallocatable_grid_exit_2(tmp_path, capsys):
+    # 1e15 float64 points ask for 7.11 PiB, so numpy fails at allocation
+    # and touches no memory
+    text = NSLIT.replace("n_points = 2001", "n_points = 1000000000000000")
+    assert validate(tmp_path, text) == 0
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    assert "not enough memory" in capsys.readouterr().err
+    assert not out.with_suffix(".json").exists()
+
+
+def test_subject_built_once_per_run(tmp_path, monkeypatch):
+    built = []
+    real_space = events.classical_space
+
+    def counted_space(*args):
+        built.append("space")
+        return real_space(*args)
+
+    class CountedGeometry(slits.SlitGeometry):
+        def __post_init__(self):
+            built.append("geometry")
+            super().__post_init__()
+
+    monkeypatch.setattr(events, "classical_space", counted_space)
+    monkeypatch.setattr(slits, "SlitGeometry", CountedGeometry)
+    for text in (COIN, FREQ, NSLIT, SORKIN, DELAYED):
+        built.clear()
+        assert run_cli(tmp_path, text)[0] == 0
+        assert len(built) == 1, text
+
+
+@st.composite
+def mutated_configs(draw):
+    """One line of a valid config replaced by arbitrary text."""
+    lines = draw(st.sampled_from([COIN, NSLIT, SORKIN, DELAYED, FREQ]
+                                 )).splitlines()
+    lines[draw(st.integers(0, len(lines) - 1))] = draw(st.text(max_size=30))
+    return "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(), mutated_configs(),
+                 st.text().map(lambda t: t.encode("utf-8", "surrogatepass"))))
+def test_validate_fuzz_ends_in_documented_exit(tmp_path, data):
+    assert validate(tmp_path, data) in (0, 2)
+
+
+LABEL = st.text(alphabet="abxy01*-", min_size=1, max_size=3)
+WEIGHTS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e308)),
+                   min_size=1, max_size=5)
+
+
+@st.composite
+def small_configs(draw):
+    """Small coin, freq and nslit configs; some break a rule."""
+    kind = draw(st.sampled_from(["coin", "freq", "nslit"]))
+    if kind == "nslit":
+        opened = draw(st.lists(st.integers(-1, 3), max_size=4))
+        text = NSLIT.replace("n_points = 2001", "n_points = "
+                             f"{draw(st.integers(0, 40))}")
+        return text + (f"open_slits = {', '.join(map(str, opened))}\n"
+                       if opened else "")
+    weights = draw(WEIGHTS)
+    labels = draw(st.lists(LABEL, min_size=len(weights),
+                           max_size=len(weights)))
+    text = (f"experiment = {kind}\nweights = {', '.join(map(repr, weights))}"
+            f"\nlabels = {', '.join(labels)}\n")
+    if kind == "freq":
+        schedule = sorted(draw(st.sets(st.integers(0, 3000), min_size=1,
+                                       max_size=3)))
+        text += (f"schedule = {', '.join(map(str, schedule))}\n"
+                 f"seed = {draw(st.integers(0, 2 ** 64 - 1))}\n")
+    return text
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_configs())
+def test_run_fuzz_valid_configs_run(tmp_path, text):
+    code = validate(tmp_path, text)
+    assert code in (0, 2)
+    assert run_cli(tmp_path, text, name="fuzz")[0] == code
+    if code == 0 and text.startswith("experiment = coin"):
+        summary = json.loads((tmp_path / "fuzz.json").read_text())
+        assert len(summary["joint_table"]) == len(summary["labels"]) ** 2

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from amprob import ConfigError
+from amprob import ConfigError, SampleSpace, SlitGeometry, UsageError
 from amprob.config import ExperimentConfig, parse_config, render_config
+from test_acceptance import INVALID_CONFIGS, VALID_CONFIGS
 
 COIN = """\
 experiment = coin
@@ -142,4 +144,68 @@ output = freq_run
 ])
 def test_render_round_trip(text):
     cfg = parse_config(text)
+    assert parse_config(render_config(cfg)) == cfg
+
+
+# The key each of acceptance criterion 11's invalid configs is rejected by.
+INVALID_KEYS = ["experiment", "experiment", "labels", "weights", "labels",
+                "weights", "wavelength", "slit_offsets", "y_min",
+                "open_slits", "triple", "detector_y", "schedule", "bogus"]
+
+
+@pytest.mark.parametrize("case", range(len(INVALID_KEYS)))
+def test_invalid_configs_name_their_key(case):
+    assert len(INVALID_KEYS) == len(INVALID_CONFIGS)
+    key = INVALID_KEYS[case]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(INVALID_CONFIGS[case])
+    assert exc.value.key == key
+    assert f"key '{key}'" in str(exc.value)
+
+
+def test_config_is_checked_on_construction():
+    good = parse_config(NSLIT)
+    assert isinstance(good.subject, SlitGeometry)
+    assert good.subject.wavelength == good.params["wavelength"]
+    assert isinstance(parse_config(COIN).subject, SampleSpace)
+    params = dict(good.params, y_min=1.0)
+    with pytest.raises(UsageError) as exc:
+        ExperimentConfig("nslit", params)
+    assert exc.value.key == "y_min"
+    with pytest.raises(UsageError) as exc:
+        ExperimentConfig("coin", parse_config(COIN).params, format="csv")
+    assert exc.value.key == "format"
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one line replaced, dropped, repeated or
+    re-keyed."""
+    lines = draw(st.sampled_from(VALID_CONFIGS)).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    key, value = lines[i].split("=", 1)
+    how = draw(st.sampled_from(["value", "drop", "repeat", "key"]))
+    if how == "value":
+        value = draw(st.one_of(
+            st.text(max_size=12), st.integers().map(str),
+            st.floats().map(repr),
+            st.lists(st.integers(-2, 4), max_size=4).map(
+                lambda xs: ", ".join(map(str, xs)))))
+        lines[i] = f"{key}= {value}"
+    elif how == "drop":
+        del lines[i]
+    elif how == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = f"{draw(st.text(max_size=12))} ={value}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), mutated_configs()))
+def test_parse_fails_only_with_config_error_and_round_trips(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
     assert parse_config(render_config(cfg)) == cfg

@@ -48,6 +48,15 @@ def test_classical_space_errors():
         classical_space([1, -1], ["a", "b"])
 
 
+def test_classical_space_rejects_overflowing_total():
+    # the sum is inf, which would turn every amplitude into 0
+    with pytest.raises(UsageError) as exc:
+        classical_space([1e308, 1e308], ["a", "b"])
+    assert exc.value.key == "weights"
+    big = classical_space([1e308, 5e307], ["a", "b"])
+    assert big.probabilities()["a"] == pytest.approx(2 / 3, rel=1e-15)
+
+
 def test_outcome_probability_thick_coin():
     tc = classical_space([0.49, 0.49, 0.02], ["h", "t", "side"])
     assert outcome_probability(tc, "side") == pytest.approx(0.02, abs=1e-15)

@@ -109,6 +109,22 @@ def test_convergence_report_monotone_schedule_required():
         convergence_report(FAIR, [], seed=1)
 
 
+def test_trial_counts_and_seed_fit_numpy():
+    # multinomial draws int64 counts; child_seed takes 64 unsigned bits
+    with pytest.raises(UsageError) as exc:
+        record_trials(FAIR, 2 ** 63, 1)
+    assert exc.value.key == "n"
+    with pytest.raises(UsageError) as exc:
+        convergence_report(FAIR, [10, 2 ** 63], seed=1)
+    assert exc.value.key == "schedule"
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(UsageError) as exc:
+            convergence_report(FAIR, [10], seed=seed)
+        assert exc.value.key == "seed"
+    assert record_trials(FAIR, 2 ** 63 - 1, 1).total_n == 2 ** 63 - 1
+    assert convergence_report(FAIR, [10], seed=2 ** 64 - 1).schedule == (10,)
+
+
 def test_convergence_report_reproducible():
     a = convergence_report(FAIR, [100, 1000], seed=9)
     b = convergence_report(FAIR, [100, 1000], seed=9)

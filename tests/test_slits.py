@@ -69,6 +69,40 @@ class TestGeometryValidation:
                          slit_offsets=(0.0,), screen_plane_x=2.0,
                          wavelength=1e-6)
 
+    def test_plane_order_names_the_misplaced_plane(self):
+        with pytest.raises(UsageError) as exc:
+            two_slit(source_x=0.5)
+        assert exc.value.key == "source_x"
+        with pytest.raises(UsageError) as exc:
+            two_slit(screen=-0.5)
+        assert exc.value.key == "screen_plane_x"
+
+    def test_duplicate_open_slits_rejected(self):
+        geom = two_slit()
+        with pytest.raises(UsageError) as exc:
+            arrival_probability(geom, 0.0, [0, 0])
+        assert exc.value.key == "open_slits"
+        with pytest.raises(UsageError) as exc:
+            intensity_profile(geom, -0.01, 0.01, 11, [1, 1])
+        assert exc.value.key == "open_slits"
+
+    def test_kernel_argument_checks_name_their_key(self):
+        geom = two_slit()
+        three = SlitGeometry((-1.0, 0.0), 0.0, (-1e-5, 0.0, 1e-5), 1.0,
+                             WAVELENGTH)
+        for call, key in (
+                (lambda: intensity_profile(geom, 0.1, -0.1, 11), "y_min"),
+                (lambda: intensity_profile(geom, -0.1, 0.1, 1), "n_points"),
+                (lambda: intensity_profile(geom, -0.1, 0.1, 2 ** 53 + 1),
+                 "n_points"),
+                (lambda: sorkin_invariant(three, 0.0, (0, 1, 1)), "triple"),
+                (lambda: sorkin_invariant(three, 0.0, (0, 1)), "triple"),
+                (lambda: sorkin_invariant(three, 0.0, (0, 1, 3)), "triple"),
+                (lambda: delayed_choice(geom, [0.0]), "detector_y")):
+            with pytest.raises(UsageError) as exc:
+                call()
+            assert exc.value.key == key
+
     def test_duplicate_offsets(self):
         with pytest.raises(UsageError):
             SlitGeometry(source=(-1.0, 0.0), slit_plane_x=0.0,
