@@ -3,6 +3,7 @@
 `amprob run --config FILE [--out BASE] [--no-timestamp]` executes the
 configured experiment and writes `BASE.json` (always) plus `BASE.csv` for
 the tabular experiments. `amprob validate --config FILE` parses only.
+`python -m amprob` (or `python -m amprob.cli`) runs the same tool.
 
 Exit codes: 0 success, 2 configuration error (including a config that
 asks for more memory than the machine has), 3 I/O error, 4 internal
@@ -104,17 +105,16 @@ def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
               ) -> Tuple[Dict[str, Any], List[List[Any]]]:
     report = frequency.convergence_report(space, params["schedule"],
                                           params["seed"])
-    true_mags = {lab: a.magnitude
-                 for lab, a in zip(space.labels, space.amplitudes)}
     rows: List[List[Any]] = [["N", "outcome", "estimate", "abs_error"]]
-    for n, row in zip(report.schedule, report.estimates):
+    for n, row, err in zip(report.schedule, report.estimates, report.errors):
         for lab in space.labels:
-            rows.append([n, lab, row[lab], abs(row[lab] - true_mags[lab])])
+            rows.append([n, lab, row[lab], err[lab]])
     summary = {
         "experiment": "freq",
         "generator": frequency.GENERATOR_ID,
         "seed": params["seed"],
         "schedule": list(report.schedule),
+        "phase": params["phase"],
         "max_errors": list(report.max_errors),
     }
     return summary, rows
@@ -133,16 +133,17 @@ def _write_outputs(base: Path, summary: Dict[str, Any],
                    rows: Optional[Iterable[Sequence[Any]]], fmt: str,
                    timestamp: bool) -> List[Path]:
     """Write BASE.json, and BASE.csv when there are rows and the format is
-    csv; returns the paths written."""
+    csv, appending the suffix to BASE's name (so `run.v1` writes
+    `run.v1.json`); returns the paths written."""
     if timestamp:
         summary["generated_at"] = datetime.now(timezone.utc).isoformat()
     base.parent.mkdir(parents=True, exist_ok=True)
-    written = [base.with_suffix(".json")]
+    written = [base.with_name(base.name + ".json")]
     with open(written[0], "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     if rows is not None and fmt == "csv":
-        written.append(base.with_suffix(".csv"))
+        written.append(base.with_name(base.name + ".csv"))
         with open(written[1], "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
     return written
@@ -156,6 +157,9 @@ def run_experiment(config: ExperimentConfig, out: Optional[str] = None,
         raise ConfigError("no output path: set 'output' in the config or "
                           "pass --out", "output", None)
     base = Path(base_str)
+    if not base.name:
+        raise ConfigError(f"output base {base_str!r} names no file",
+                          "output", None)
     summary, rows = _RUNNERS[config.experiment](config.subject,
                                                 config.params)
     return _write_outputs(base, summary, rows, config.format, timestamp)
@@ -217,3 +221,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -119,8 +119,10 @@ class ExperimentConfig:
             slits.check_triple(subject, p["triple"])
             slits.check_profile(subject, p["y_min"], p["y_max"],
                                 p["n_points"], p["triple"])
-        elif p.get("detector_y") is not None:
-            slits.check_detectors(subject, p["detector_y"])
+        else:
+            detectors = p.get("detector_y")
+            slits.check_detectors(subject, subject.slit_offsets
+                                  if detectors is None else detectors)
         object.__setattr__(self, "subject", subject)
 
 

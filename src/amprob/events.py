@@ -9,15 +9,11 @@ the amplitudes carry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .amplitude import (
-    Amplitude,
-    Probability,
-    SignedProbability,
-    born_probability,
-)
+from .amplitude import (ONE, ZERO, Amplitude, Probability, SignedProbability,
+                        born_probability)
 from .errors import DomainError, UsageError
 
 NORMALIZATION_TOL = 1e-12
@@ -29,6 +25,7 @@ class SampleSpace:
 
     labels: Tuple[str, ...]
     amplitudes: Tuple[Amplitude, ...]
+    _positions: Dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
@@ -37,14 +34,16 @@ class SampleSpace:
         if len(self.labels) != len(self.amplitudes):
             raise UsageError("labels and amplitudes must have equal length",
                              "labels")
-        if not all(self.labels) or len(set(self.labels)) != len(self.labels):
+        positions = dict(zip(self.labels, range(len(self.labels))))
+        if not all(self.labels) or len(positions) != len(self.labels):
             raise UsageError("outcome labels must be non-empty and distinct",
                              "labels")
+        object.__setattr__(self, "_positions", positions)
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):
             raise UsageError(f"unknown outcome {label!r}") from None
 
     def total_probability(self) -> float:
@@ -52,12 +51,23 @@ class SampleSpace:
 
     @property
     def is_normalized(self) -> bool:
-        return abs(self.total_probability() - 1.0) <= NORMALIZATION_TOL
+        return _is_unit(self.total_probability())
 
     def probabilities(self) -> Dict[str, Probability]:
+        return dict(zip(self.labels, self._born(range(len(self.labels)))))
+
+    def _born(self, positions: Iterable[int]) -> List[Probability]:
+        """The one normalisation rule: |A|^2 at each of `positions` over
+        the space total if the space is normalized (sqrt(1/2)**2 is 0.5 +
+        1 ulp; x / (x + x) is 0.5), else raw. One total per call."""
         total = self.total_probability()
-        return {lab: _scaled_born(a, total)
-                for lab, a in zip(self.labels, self.amplitudes)}
+        scale = total if _is_unit(total) else 1.0  # x / 1.0 is exactly x
+        amps = self.amplitudes
+        return [born_probability(amps[i]) / scale for i in positions]
+
+
+def _is_unit(total: float) -> bool:
+    return abs(total - 1.0) <= NORMALIZATION_TOL
 
 
 @dataclass(frozen=True)
@@ -98,32 +108,18 @@ def classical_space(weights: Sequence[float],
     return SampleSpace(tuple(labels), amps)
 
 
-def _scaled_born(amplitude: Amplitude, total: float) -> Probability:
-    # Dividing by the space total makes normalized spaces report exactly
-    # normalized probabilities (sqrt(1/2)**2 squares to 0.5 + 1 ulp; the
-    # ratio x / (x + x) does not). Unnormalized spaces keep raw |A|^2.
-    # Callers compute the total once per call, not once per outcome.
-    p = born_probability(amplitude)
-    if abs(total - 1.0) <= NORMALIZATION_TOL and total > 0:
-        return p / total
-    return p
-
-
 def outcome_probability(space: SampleSpace, label: str) -> Probability:
     """Born probability of one outcome (exactly renormalized when the space
     is normalized)."""
-    return _scaled_born(space.amplitudes[space.index(label)],
-                        space.total_probability())
+    return event_probability(space, (label,))
 
 
 def event_probability(space: SampleSpace,
                       subset: Iterable[str]) -> Probability:
     """Probability of a set of outcomes: plain sum of per-outcome
-    probabilities. No cross terms by orthogonality."""
-    indices = {space.index(lab) for lab in subset}
-    total = space.total_probability()
-    return sum(_scaled_born(space.amplitudes[i], total)
-               for i in sorted(indices))
+    probabilities, in outcome order. No cross terms by orthogonality."""
+    positions = sorted({space.index(lab) for lab in subset})
+    return sum(space._born(positions))
 
 
 def normalize(space: SampleSpace) -> SampleSpace:
@@ -165,8 +161,7 @@ def collapse(space: SampleSpace, observed: str) -> SampleSpace:
     if born_probability(space.amplitudes[idx]) <= 0:
         raise DomainError(
             f"cannot collapse onto zero-probability outcome {observed!r}")
-    amps = tuple(Amplitude(1.0, 0.0) if i == idx else Amplitude(0.0, 0.0)
-                 for i in range(len(space.labels)))
+    amps = tuple(ONE if i == idx else ZERO for i in range(len(space.labels)))
     return SampleSpace(space.labels, amps)
 
 

@@ -39,10 +39,12 @@ class TrialLedger:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Estimated magnitudes and worst-case errors along a trial schedule."""
+    """Estimated magnitudes along a trial schedule, each outcome's absolute
+    error against its true magnitude, and each stage's worst error."""
 
     schedule: Tuple[int, ...]
     estimates: Tuple[Dict[str, float], ...]
+    errors: Tuple[Dict[str, float], ...]
     max_errors: Tuple[float, ...]
 
 
@@ -123,16 +125,17 @@ def convergence_report(space: SampleSpace, schedule: Sequence[int],
     true_mags = {lab: a.magnitude
                  for lab, a in zip(space.labels, space.amplitudes)}
     estimates = []
-    max_errors = []
+    errors = []
     for k, n in enumerate(schedule):
         ledger = record_trials(space, n, child_seed(seed, k))
         row = {lab: math.sqrt(ledger.counts[lab] / n)
                for lab in space.labels}
         estimates.append(row)
-        max_errors.append(max(abs(row[lab] - true_mags[lab])
-                              for lab in space.labels))
+        errors.append({lab: abs(row[lab] - true_mags[lab])
+                       for lab in space.labels})
     return ConvergenceReport(
         schedule=tuple(schedule),
         estimates=tuple(estimates),
-        max_errors=tuple(max_errors),
+        errors=tuple(errors),
+        max_errors=tuple(max(err.values()) for err in errors),
     )

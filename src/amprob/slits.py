@@ -19,7 +19,8 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .amplitude import Amplitude, Probability, SignedProbability
+from .amplitude import (Amplitude, Probability, SignedProbability,
+                        interference_term)
 from .errors import InvariantError, UsageError
 from .events import SampleSpace, classical_space
 
@@ -54,6 +55,7 @@ class SlitGeometry:
                                       self.slit_offsets[1:])):
             raise UsageError("slit offsets must be strictly increasing",
                              "slit_offsets")
+        _leg_cycles(self, np.empty(0), range(self.n_slits), "wavelength")
 
     @property
     def n_slits(self) -> int:
@@ -100,19 +102,22 @@ class DetectionReport:
         return classical_space(self.per_detector_probability, labels)
 
 
-def _leg_cycles(geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int]
-                ) -> List[np.ndarray]:
+def _leg_cycles(geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int],
+                key: Optional[str] = None) -> List[np.ndarray]:
     """Source-leg (per slit) and screen-leg (point x slit) phases in cycles:
-    each leg's excess over its axial run, over the wavelength, mod 1."""
+    each leg's excess over its axial run, over the wavelength, mod 1. An
+    excess of 2**52 wavelengths or more raises `UsageError` naming `key`."""
     off = np.array([geom.slit_offsets[i] for i in opened])
     cycles = []
     for a, b in ((geom.slit_plane_x - geom.source[0], off - geom.source[1]),
                  (geom.screen_plane_x - geom.slit_plane_x, ys[:, None] - off)):
         with np.errstate(over="ignore", invalid="ignore"):
             c = b * b / (np.hypot(a, b) + a) / geom.wavelength
-        if not (worst := float(np.max(c))) < 2.0 ** 52:  # fmod returns 0
+        worst = float(c.max(initial=0.0))
+        if not worst < 2.0 ** 52:  # fmod returns 0
             raise UsageError(f"excess path {worst:.3g} wavelengths: float64 "
-                             "resolves no phase at 2**52 wavelengths or more")
+                             "resolves no phase at 2**52 wavelengths or more",
+                             key)
         cycles.append(np.fmod(c, 1.0))
     return cycles
 
@@ -182,8 +187,12 @@ def check_profile(geom: SlitGeometry, y_min: float, y_max: float,
     if not 2 <= n_points <= 2 ** 53:
         raise UsageError("n_points must be in 2..2**53, where float64 "
                          "still counts exactly", "n_points")
-    return _open_list(geom, range(geom.n_slits) if open_slits is None
-                      else open_slits)
+    opened = _open_list(geom, range(geom.n_slits) if open_slits is None
+                        else open_slits)
+    # a screen leg's excess grows with |y - offset|: the grid ends bound it
+    for key, y in (("y_min", y_min), ("y_max", y_max)):
+        _leg_cycles(geom, np.array([float(y)]), opened, key)
+    return opened
 
 
 def check_triple(geom: SlitGeometry, triple: Sequence[int]) -> list[int]:
@@ -198,6 +207,8 @@ def check_detectors(geom: SlitGeometry, y_detectors: Sequence[float]
     """Argument check of `delayed_choice`."""
     if len(y_detectors) != geom.n_slits:
         raise UsageError("need exactly one detector per slit", "detector_y")
+    ends = np.array([min(y_detectors), max(y_detectors)], dtype=float)
+    _leg_cycles(geom, ends, range(geom.n_slits), "detector_y")
 
 
 def path_amplitude(geom: SlitGeometry, slit: int, y: float) -> PathAmplitude:
@@ -224,8 +235,8 @@ def arrival_probability(geom: SlitGeometry, y: float,
 def pairwise_interference(geom: SlitGeometry, y: float, i: int,
                           j: int) -> SignedProbability:
     """Signed cross term between slits i and j at screen point y."""
-    a, b = _amplitudes(geom, np.array([float(y)]), _open_list(geom, (i, j)))[0]
-    return float(2.0 * (a.real * b.real + a.imag * b.imag))
+    amps = _amplitudes(geom, np.array([float(y)]), _open_list(geom, (i, j)))
+    return interference_term(*map(Amplitude.from_complex, amps[0].tolist()))
 
 
 def sorkin_invariant(geom: SlitGeometry, y: float | Sequence[float],
@@ -265,9 +276,9 @@ def delayed_choice(geom: SlitGeometry,
     reads the single-slit probability at its position (self terms only) and
     the interference part is structurally zero."""
     check_detectors(geom, y_detectors)
-    amps = np.diagonal(_amplitudes(geom, np.asarray(y_detectors, dtype=float),
-                                   range(geom.n_slits)))
-    per = tuple((amps.real * amps.real + amps.imag * amps.imag).tolist())
+    ys = np.asarray(y_detectors, dtype=float)
+    amps = np.diagonal(_amplitudes(geom, ys, range(geom.n_slits)))
+    per = tuple(_born(amps[:, None], ys).tolist())
     return DetectionReport(per_detector_probability=per, total=sum(per),
                            interference_part=0.0)
 

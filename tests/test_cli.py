@@ -1,9 +1,14 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from amprob import events, slits
+from amprob import events, frequency, slits
 from amprob.cli import main
 
 GEOMETRY = """\
@@ -282,3 +287,85 @@ def test_run_fuzz_valid_configs_run(tmp_path, text):
     if code == 0 and text.startswith("experiment = coin"):
         summary = json.loads((tmp_path / "fuzz.json").read_text())
         assert len(summary["joint_table"]) == len(summary["labels"]) ** 2
+
+
+def test_freq_table_errors_are_the_report_errors(tmp_path):
+    code, out = run_cli(tmp_path, FREQ.replace("weights = 1, 1",
+                                               "weights = 3, 1"))
+    assert code == 0
+    report = frequency.convergence_report(
+        events.classical_space([3, 1], ["h", "t"]), [100, 10000, 1000000], 0)
+    rows = list(csv.reader(out.with_suffix(".csv").open()))[1:]
+    assert [r[3] for r in rows] == [repr(err[lab]) for err in report.errors
+                                    for lab in ("h", "t")]
+    summary = json.loads(out.with_suffix(".json").read_text())
+    assert summary["max_errors"] == [max(err.values())
+                                     for err in report.errors]
+
+
+def test_freq_phase_is_echoed_and_changes_no_estimate(tmp_path):
+    _, plain = run_cli(tmp_path, FREQ, name="plain")
+    _, turned = run_cli(tmp_path, FREQ + "phase = 0.5\n", name="turned")
+    summary = json.loads(turned.with_suffix(".json").read_text())
+    assert summary["phase"] == 0.5
+    assert json.loads(plain.with_suffix(".json").read_text())["phase"] == 0.0
+    del summary["phase"]
+    assert summary == {k: v for k, v in json.loads(
+        plain.with_suffix(".json").read_text()).items() if k != "phase"}
+    assert turned.with_suffix(".csv").read_bytes() == \
+        plain.with_suffix(".csv").read_bytes()
+
+
+def test_dotted_output_bases_do_not_collide(tmp_path):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(FREQ)
+    for version in ("v1", "v2"):
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / f"run.{version}"), "--no-timestamp"]) == 0
+    assert sorted(p.name for p in tmp_path.glob("run.*")) == [
+        "run.v1.csv", "run.v1.json", "run.v2.csv", "run.v2.json"]
+
+
+def test_output_base_without_a_name_exit_2(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(COIN)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", "."]) == 2
+    assert "key 'output'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+@pytest.mark.parametrize("text, key", [
+    (NSLIT.replace("y_max = 0.1", "y_max = 1e10"), "y_max"),
+    (NSLIT.replace("wavelength_nm = 500", "wavelength = 1e-320"),
+     "wavelength"),
+    (DELAYED + "detector_y = 0, 1e10\n", "detector_y"),
+    # the default detectors sit on the slits, whose screen legs span 1e10 m
+    ("experiment = delayed\nwavelength_nm = 500\nsource_x = -1e12\n"
+     "screen_plane_x = 1.0\nslit_offsets = 0, 1e10\n", "detector_y"),
+], ids=["y_max", "wavelength", "detector_y", "default_detector_y"])
+def test_unresolvable_phase_caught_by_validate(tmp_path, capsys, text, key):
+    assert validate(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err and "2**52 wavelengths" in err
+
+
+@pytest.mark.parametrize("module", ["amprob", "amprob.cli"])
+def test_cli_runs_as_a_module(tmp_path, module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+    good.write_text(COIN)
+    bad.write_text(COIN.replace("weights = 1, 1", "weights = 1, -1"))
+
+    def validate_with(cfg):
+        return subprocess.run(
+            [sys.executable, "-m", module, "validate", "--config", str(cfg)],
+            env=env, capture_output=True, text=True, timeout=60)
+
+    ok = validate_with(good)
+    assert (ok.returncode, ok.stdout) == (0, "ok: coin config is valid\n")
+    failed = validate_with(bad)
+    assert failed.returncode == 2
+    assert "key 'weights'" in failed.stderr

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from amprob import (
     outcome_probability,
     union_decomposition,
 )
+from amprob.events import NORMALIZATION_TOL
 
 
 def test_classical_space_examples():
@@ -250,3 +252,62 @@ def test_probabilities_take_one_total_per_call(monkeypatch):
     assert space.probabilities() == expected
     assert event_probability(space, ["a", "c", "d"]) == event
     assert len(calls) == 2
+
+
+def reference_probabilities(space):
+    # the normalisation rule written out: |A|^2, divided by the total when
+    # the total is within NORMALIZATION_TOL of 1, raw otherwise
+    raw = [a.re * a.re + a.im * a.im for a in space.amplitudes]
+    total = sum(raw)
+    if abs(total - 1.0) <= NORMALIZATION_TOL:
+        return [p / total for p in raw]
+    return raw
+
+
+@st.composite
+def spaces_and_subsets(draw):
+    n = draw(st.integers(1, 24))
+    mags = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    phases = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n,
+                           max_size=n))
+    space = SampleSpace(tuple(f"o{i}" for i in range(n)),
+                        tuple(Amplitude.from_polar(m, ph)
+                              for m, ph in zip(mags, phases)))
+    if draw(st.booleans()) and space.total_probability() > 0:
+        space = normalize(space)
+    subset = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return space, [space.labels[i] for i in subset]
+
+
+@given(spaces_and_subsets())
+def test_probabilities_follow_one_rule_bit_for_bit(case):
+    space, subset = case
+    ref = reference_probabilities(space)
+    assert list(space.probabilities().values()) == ref
+    assert [outcome_probability(space, lab) for lab in space.labels] == ref
+    positions = sorted({space.labels.index(lab) for lab in subset})
+    assert event_probability(space, subset) == sum(ref[i]
+                                                   for i in positions)
+    assert space.is_normalized == (abs(space.total_probability() - 1.0)
+                                   <= NORMALIZATION_TOL)
+
+
+def test_unknown_label_inside_subset_rejected():
+    space = classical_space([1, 2, 3], ["a", "b", "c"])
+    with pytest.raises(UsageError, match="'zz'"):
+        event_probability(space, ["a", "zz", "c"])
+    with pytest.raises(UsageError):
+        event_probability(space, ["a", ["b"]])
+
+
+def test_full_subset_event_is_linear_in_outcomes():
+    # a linear label lookup makes this call O(outcomes x subset), seconds
+    n = 20_000
+    labels = [f"o{i}" for i in range(n)]
+    space = classical_space([1.0 + i % 7 for i in range(n)], labels)
+    start = time.perf_counter()
+    p = event_probability(space, reversed(labels))
+    elapsed = time.perf_counter() - start
+    assert p == pytest.approx(1.0, abs=1e-12)
+    assert elapsed < 0.5
+

@@ -148,3 +148,15 @@ def test_convergence_trend_over_seeds():
 
 def test_generator_identifier():
     assert GENERATOR_ID == "numpy.random.PCG64"
+
+
+def test_report_keeps_each_outcome_error():
+    space = classical_space([5, 3, 2], ["a", "b", "c"])
+    report = convergence_report(space, [10, 1000, 100000], 7)
+    assert len(report.errors) == len(report.schedule)
+    for row, err, worst in zip(report.estimates, report.errors,
+                               report.max_errors):
+        assert list(err) == list(space.labels)
+        for lab, a in zip(space.labels, space.amplitudes):
+            assert err[lab] == abs(row[lab] - a.magnitude)
+        assert worst == max(err.values())

@@ -514,3 +514,48 @@ def test_peak_analysis_equals_loop_reference():
     for profile in profiles:
         assert refined_maxima(profile) == loop_refined_maxima(profile)
         assert fringe_spacing(profile) == loop_fringe_spacing(profile)
+
+
+def test_which_path_and_pair_terms_equal_the_inline_formulas():
+    # reference: |a|^2 of each detector's own slit and 2 Re(a conj(b))
+    # written out on the kernel's amplitudes
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        geom = random_geometry(rng, n)
+        ys = rng.uniform(-0.05, 0.05, size=n)
+        amps = np.diagonal(slits._amplitudes(geom, ys, range(n)))
+        assert delayed_choice(geom, ys.tolist()).per_detector_probability \
+            == tuple((amps.real * amps.real
+                      + amps.imag * amps.imag).tolist())
+        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+        y = float(ys[0])
+        a, b = slits._amplitudes(geom, np.array([y]), [i, j])[0]
+        term = pairwise_interference(geom, y, j, i)
+        assert type(term) is float
+        assert term == float(2.0 * (a.real * b.real + a.imag * b.imag))
+
+
+def test_delayed_choice_checks_the_dual_form(monkeypatch):
+    monkeypatch.setattr(slits, "DUAL_FORM_RTOL", -1.0)
+    with pytest.raises(InvariantError):
+        delayed_choice(two_slit(), [-D / 2, D / 2])
+
+
+def test_unresolvable_phase_names_its_key_before_the_kernel_runs():
+    with pytest.raises(UsageError, match="2\\*\\*52") as exc:
+        two_slit(wavelength=1e-320)
+    assert exc.value.key == "wavelength"
+    geom = two_slit()
+    for lo, hi, key in ((-1e10, 0.0, "y_min"), (0.0, 1e10, "y_max")):
+        with pytest.raises(UsageError, match="2\\*\\*52") as exc:
+            slits.check_profile(geom, lo, hi, 3)
+        assert exc.value.key == key
+    with pytest.raises(UsageError, match="2\\*\\*52") as exc:
+        slits.check_detectors(geom, [0.0, 1e10])
+    assert exc.value.key == "detector_y"
+    # the grid ends bound every interior point: a passing check means the
+    # kernel resolves each phase
+    slits.check_profile(geom, -1e6, 1e6, 3)
+    assert len(intensity_profile(geom, -1e6, 1e6, 1001).probabilities) \
+        == 1001
