@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import events, frequency, slits
-from .config import JOINT_KEY_SEP, ExperimentConfig, parse_config
+from .config import (JOINT_KEY_SEP, ExperimentConfig, check_output,
+                     parse_config)
 from .errors import ConfigError, InvariantError, UsageError
 
 EXIT_OK = 0
@@ -35,7 +36,6 @@ def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
               ) -> Tuple[Dict[str, Any], None]:
     stats = events.guess_game(space)
     summary = {
-        "experiment": "coin",
         "labels": list(space.labels),
         "probabilities": space.probabilities(),
         "p_correct": stats.p_correct,
@@ -55,7 +55,6 @@ def _run_nslit(geom: slits.SlitGeometry, params: Dict[str, Any]
     peaks = slits.refined_maxima(profile)
     spacing = slits.fringe_spacing(profile)
     summary = {
-        "experiment": "nslit",
         "open_slits": opened,
         "n_points": params["n_points"],
         "peak_positions_m": peaks,
@@ -75,7 +74,6 @@ def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
     peak = max(profile.probabilities)
     residuals = slits.sorkin_invariant(geom, profile.screen_points, triple)
     summary = {
-        "experiment": "sorkin",
         "triple": list(triple),
         "peak_scale": peak,
         "max_abs_I3": max(map(abs, residuals)),
@@ -92,7 +90,6 @@ def _run_delayed(geom: slits.SlitGeometry, params: Dict[str, Any]
         detectors = list(geom.slit_offsets)
     report = slits.delayed_choice(geom, detectors)
     summary = {
-        "experiment": "delayed",
         "detector_y_m": list(detectors),
         "per_detector_probability": list(report.per_detector_probability),
         "total": report.total,
@@ -110,7 +107,6 @@ def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
         for lab in space.labels:
             rows.append([n, lab, row[lab], err[lab]])
     summary = {
-        "experiment": "freq",
         "generator": frequency.GENERATOR_ID,
         "seed": params["seed"],
         "schedule": list(report.schedule),
@@ -156,13 +152,14 @@ def run_experiment(config: ExperimentConfig, out: Optional[str] = None,
     if base_str is None:
         raise ConfigError("no output path: set 'output' in the config or "
                           "pass --out", "output", None)
-    base = Path(base_str)
-    if not base.name:
-        raise ConfigError(f"output base {base_str!r} names no file",
-                          "output", None)
+    try:
+        base = check_output(base_str)
+    except UsageError as exc:
+        raise ConfigError(str(exc), exc.key) from None
     summary, rows = _RUNNERS[config.experiment](config.subject,
                                                 config.params)
-    return _write_outputs(base, summary, rows, config.format, timestamp)
+    return _write_outputs(base, {"experiment": config.experiment, **summary},
+                          rows, config.format, timestamp)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from . import events, frequency, slits
@@ -95,6 +96,8 @@ class ExperimentConfig:
         elif self.format not in formats:
             raise UsageError(f"experiment {self.experiment!r} writes "
                              f"{' or '.join(formats)}", "format")
+        if self.output is not None:
+            check_output(self.output)
         p = self.params
         if self.experiment in ("coin", "freq"):
             subject = events.classical_space(p["weights"], p["labels"])
@@ -124,6 +127,16 @@ class ExperimentConfig:
             slits.check_detectors(subject, subject.slit_offsets
                                   if detectors is None else detectors)
         object.__setattr__(self, "subject", subject)
+
+
+def check_output(base: str) -> Path:
+    """The output base as a path; `UsageError` naming `output` if BASE
+    names no file (`''`, `.`, `/`, `..`), since outputs append to its
+    name."""
+    path = Path(base)
+    if path.name in ("", ".."):
+        raise UsageError(f"output base {base!r} names no file", "output")
+    return path
 
 
 def _parse_scalar(kind: str, raw: str, key: str, line: int) -> Any:
@@ -195,8 +208,6 @@ def parse_config(text: str) -> ExperimentConfig:
                     f"{', '.join(OUTPUT_FORMATS)}", key, lineno)
             experiment = raw
         elif key == "output":
-            if not raw:
-                raise ConfigError("empty output path", key, lineno)
             output = raw
         elif key == "format":
             fmt = raw

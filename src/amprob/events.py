@@ -94,10 +94,6 @@ def classical_space(weights: Sequence[float],
                     labels: Sequence[str]) -> SampleSpace:
     """Build a normalized space from non-negative weights; amplitude i gets
     magnitude sqrt(w_i / sum w) at phase 0."""
-    if len(weights) == 0:
-        raise UsageError("weights must be non-empty", "weights")
-    if len(weights) != len(labels):
-        raise UsageError("labels must match weights in length", "labels")
     if any(w < 0 or not math.isfinite(w) for w in weights):
         raise UsageError("weights must be finite and non-negative", "weights")
     total = sum(weights)

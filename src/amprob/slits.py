@@ -14,6 +14,7 @@ screen.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -92,14 +93,12 @@ class DetectionReport:
     total: Probability
     interference_part: SignedProbability
 
-    def to_sample_space(self, labels: Optional[Sequence[str]] = None
-                        ) -> SampleSpace:
-        """View the detectors as a classical sample space (the situation
-        with unexamined detectors is an ordinary exclusive-outcome draw)."""
-        if labels is None:
-            labels = [f"slit_{i}"
-                      for i in range(len(self.per_detector_probability))]
-        return classical_space(self.per_detector_probability, labels)
+    def to_sample_space(self) -> SampleSpace:
+        """View the detectors as a classical sample space with outcomes
+        `slit_0`, `slit_1`, ... (the situation with unexamined detectors is
+        an ordinary exclusive-outcome draw)."""
+        per = self.per_detector_probability
+        return classical_space(per, [f"slit_{i}" for i in range(len(per))])
 
 
 def _leg_cycles(geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int],
@@ -187,6 +186,14 @@ def check_profile(geom: SlitGeometry, y_min: float, y_max: float,
     if not 2 <= n_points <= 2 ** 53:
         raise UsageError("n_points must be in 2..2**53, where float64 "
                          "still counts exactly", "n_points")
+    # a subnormal step, or one within a few ulps of the ends, rounds
+    # neighbouring grid points onto the same float
+    step = (y_max - y_min) / (n_points - 1)
+    if step < sys.float_info.min or \
+            not step > 4.0 * math.ulp(max(abs(y_min), abs(y_max))):
+        raise UsageError(f"grid step {step!r} over y_min..y_max is too "
+                         "small for float64 to keep the points distinct",
+                         "n_points")
     opened = _open_list(geom, range(geom.n_slits) if open_slits is None
                         else open_slits)
     # a screen leg's excess grows with |y - offset|: the grid ends bound it

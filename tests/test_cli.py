@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from amprob import events, frequency, slits
+from amprob import cli, config, events, frequency, slits
 from amprob.cli import main
 
 GEOMETRY = """\
@@ -369,3 +369,44 @@ def test_cli_runs_as_a_module(tmp_path, module):
     failed = validate_with(bad)
     assert failed.returncode == 2
     assert "key 'weights'" in failed.stderr
+
+
+NSLIT_5E_324 = NSLIT.replace("y_min = -0.1\ny_max = 0.1\nn_points = 2001",
+                             "y_min = 0\ny_max = 5e-324\nn_points = 5")
+SORKIN_5E_324 = SORKIN.replace("y_min = -0.02\ny_max = 0.02\nn_points = 201",
+                               "y_min = 0\ny_max = 5e-324\nn_points = 5")
+
+
+@pytest.mark.parametrize("text, key, line", [
+    (COIN + "output = .\n", "output", 4),
+    (COIN + "output = /\n", "output", 4),
+    (COIN + "output = runs/..\n", "output", 4),
+    (NSLIT_5E_324, "n_points", 8),
+    (SORKIN_5E_324, "n_points", 8),
+    # an empty list stops at the parser, before classical_space
+    ("experiment = coin\nweights =\nlabels = a\n", "weights", 2),
+    ("experiment = coin\nweights = 1, 1\nlabels = a\n", "labels", 3),
+], ids=["output_dot", "output_root", "output_dotdot", "nslit_5e-324",
+        "sorkin_5e-324", "no_weights", "labels_short"])
+def test_validate_and_run_agree_naming_key_and_line(tmp_path, capsys, text,
+                                                    key, line):
+    assert validate(tmp_path, text) == 2
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    assert capsys.readouterr().err.count(f"line {line}: key '{key}'") == 2
+    assert not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("text", [COIN, NSLIT, SORKIN, DELAYED, FREQ],
+                         ids=["coin", "nslit", "sorkin", "delayed", "freq"])
+def test_summary_names_the_experiment_first(tmp_path, text):
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    summary = json.loads(out.with_suffix(".json").read_text())
+    assert list(summary)[0] == "experiment"
+    assert text.startswith(f"experiment = {summary['experiment']}\n")
+
+
+def test_every_table_names_the_same_five_experiments():
+    assert list(config.OUTPUT_FORMATS) == list(config.FIELD_REGISTRY) == \
+        list(cli._RUNNERS) == ["coin", "nslit", "sorkin", "delayed", "freq"]

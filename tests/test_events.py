@@ -50,6 +50,16 @@ def test_classical_space_errors():
         classical_space([1, -1], ["a", "b"])
 
 
+@pytest.mark.parametrize("weights, labels, key", [
+    ([], [], "weights"),  # fails the positive-sum rule
+    ([1, 1], ["a"], "labels"),  # fails SampleSpace's length rule
+])
+def test_classical_space_shape_errors_name_their_key(weights, labels, key):
+    with pytest.raises(UsageError) as exc:
+        classical_space(weights, labels)
+    assert exc.value.key == key
+
+
 def test_classical_space_rejects_overflowing_total():
     # the sum is inf, which would turn every amplitude into 0
     with pytest.raises(UsageError) as exc:

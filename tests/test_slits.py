@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import amprob
@@ -559,3 +560,34 @@ def test_unresolvable_phase_names_its_key_before_the_kernel_runs():
     slits.check_profile(geom, -1e6, 1e6, 3)
     assert len(intensity_profile(geom, -1e6, 1e6, 1001).probabilities) \
         == 1001
+
+
+# wide enough that screen ends up to ~1e150 m keep a resolvable phase
+WIDE_GEOMETRY = SlitGeometry((-1.0, 0.0), 0.0, (0.0,), 1.0, 1e100)
+ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)  # subnormals too
+
+
+@st.composite
+def screen_ranges(draw):
+    """(y_min, y_max, n_points): independent ends, or a step of a few ulps
+    of y_min, so grids near the float64 limit come up often."""
+    y_min = draw(ANY_FLOAT)
+    n_points = draw(st.integers(2, 2 ** 16))
+    if draw(st.booleans()):
+        return y_min, draw(ANY_FLOAT), n_points
+    step = draw(st.integers(1, 16)) * math.ulp(y_min)
+    return y_min, y_min + step * (n_points - 1), n_points
+
+
+@settings(max_examples=500, deadline=None)
+@given(screen_ranges())
+@example((0.0, 5e-324, 5))
+@example((0.0, 2.47e-322, 12))  # subnormal step 4.5 ulps: y[10] > y[11]
+@example((1.0, 1.0000000000000002, 3))  # step of half an ulp
+def test_accepted_grids_strictly_increase(grid):
+    y_min, y_max, n_points = grid
+    try:
+        slits.check_profile(WIDE_GEOMETRY, y_min, y_max, n_points)
+    except UsageError:
+        return
+    assert np.all(np.diff(np.linspace(y_min, y_max, n_points)) > 0)

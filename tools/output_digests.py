@@ -1,0 +1,105 @@
+"""Print the SHA-256 of every output of a fixed set of `amprob run`s.
+
+    PYTHONPATH=SRC python3 tools/output_digests.py OUTDIR
+
+Runs each config below through `amprob.cli.main` with `--no-timestamp`,
+writing into OUTDIR, and prints one `sha256  file` line per output file,
+sorted by file name (use a new OUTDIR: every `.json`/`.csv` already in it
+is digested too). `amprob` is imported from whichever `src` comes first
+on PYTHONPATH, so the same config set can run against two trees. The set:
+acceptance criterion 11's `VALID_CONFIGS` (from `tests/test_acceptance.py`),
+nslit with `format = json`, freq with seed 2**64 - 1, sorkin with an
+unsorted triple, freq with a `"` inside a label, and 30 seeded random nslit
+configs. Exits 1 if any run fails.
+
+To check that a change writes the same bytes as its parent commit:
+
+    git worktree add ../amprob-parent HEAD~1
+    PYTHONPATH=../amprob-parent/src python3 tools/output_digests.py \\
+        /tmp/digests-parent > parent.txt
+    PYTHONPATH=src python3 tools/output_digests.py /tmp/digests-change \\
+        > change.txt
+    diff parent.txt change.txt && git worktree remove ../amprob-parent
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import random
+import sys
+from pathlib import Path
+from typing import Dict
+
+sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from amprob.cli import main  # noqa: E402
+from test_acceptance import GEOM_KEYS, VALID_CONFIGS  # noqa: E402
+
+RANDOM_NSLIT_SEED = 2011
+
+
+def _random_nslit(rng: random.Random) -> str:
+    n_slits = rng.randint(2, 8)
+    spacing = rng.uniform(2e-6, 5e-5)
+    offsets = [(i - (n_slits - 1) / 2) * spacing for i in range(n_slits)]
+    half = rng.uniform(0.01, 0.2)
+    text = (f"experiment = nslit\nwavelength = {rng.uniform(4e-7, 8e-7)!r}\n"
+            f"source_x = {-rng.uniform(0.5, 2.0)!r}\n"
+            f"screen_plane_x = {rng.uniform(0.5, 2.0)!r}\n"
+            f"slit_offsets = {', '.join(map(repr, offsets))}\n"
+            f"y_min = {-half!r}\ny_max = {half!r}\n"
+            f"n_points = {rng.randint(2, 400)}\n")
+    if rng.random() < 0.5:
+        opened = rng.sample(range(n_slits), rng.randint(1, n_slits))
+        text += f"open_slits = {', '.join(map(str, opened))}\n"
+    if rng.random() < 0.25:
+        text += "format = json\n"
+    return text
+
+
+def configs() -> Dict[str, str]:
+    """Run name -> config text."""
+    named = {f"valid{i:02d}": text for i, text in enumerate(VALID_CONFIGS)}
+    named["nslit_json"] = ("experiment = nslit\n" + GEOM_KEYS
+                           + "y_min = -0.1\ny_max = 0.1\nn_points = 201\n"
+                           "format = json\n")
+    named["freq_max_seed"] = ("experiment = freq\nweights = 3, 1\n"
+                              "labels = h, t\nschedule = 10, 1000\n"
+                              f"seed = {2 ** 64 - 1}\n")
+    named["sorkin_unsorted"] = (
+        "experiment = sorkin\nwavelength_nm = 700\nsource_x = -2.0\n"
+        "screen_plane_x = 0.7\nslit_offsets_um = -12, -2, 3, 9\n"
+        "y_min = -0.01\ny_max = 0.01\nn_points = 101\ntriple = 3, 0, 2\n")
+    named["freq_quote"] = ("experiment = freq\nweights = 1, 2\n"
+                           "labels = say \"hi\", b\nschedule = 5, 50\n"
+                           "seed = 11\n")
+    rng = random.Random(RANDOM_NSLIT_SEED)
+    for i in range(30):
+        named[f"nslit_random{i:02d}"] = _random_nslit(rng)
+    return named
+
+
+def run_all(outdir: Path) -> int:
+    outdir.mkdir(parents=True, exist_ok=True)
+    failed = 0
+    for name, text in configs().items():
+        cfg = outdir / f"{name}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(sys.stderr):
+            code = main(["run", "--config", str(cfg), "--out",
+                         str(outdir / name), "--no-timestamp"])
+        if code != 0:
+            print(f"{name}: exit {code}", file=sys.stderr)
+            failed += 1
+    for path in sorted(outdir.glob("*")):
+        if path.suffix in (".json", ".csv"):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.name}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(run_all(Path(sys.argv[1])))
