@@ -53,10 +53,12 @@ from .slits import (
     delayed_choice,
     fringe_spacing,
     intensity_profile,
+    median_spacing,
     pairwise_interference,
     path_amplitude,
     refined_maxima,
     sorkin_invariant,
+    sorkin_profile,
 )
 
 __version__ = "0.1.0"

@@ -13,13 +13,12 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import datetime, timezone
-from itertools import chain, repeat
+from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from . import events, frequency, slits
 from .config import (JOINT_KEY_SEP, ExperimentConfig, check_output,
@@ -30,6 +29,22 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
+
+# A tabular run's BASE.csv, one line per row, as csv.writer(fh,
+# lineterminator="\n") writes it: a float cell by repr, another by str,
+# and a string cell quoted as `_csv_cell` quotes it.
+Lines = Iterator[str]
+# CSV lines or JSON items encoded per write, so that memory stays flat
+_ITEMS_PER_WRITE = 512
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _csv_cell(text: str) -> str:
+    """A string cell as csv's QUOTE_MINIMAL writes it with lineterminator
+    "\n": quoted, with `"` doubled, if it holds `,`, `"` or a newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
@@ -46,14 +61,14 @@ def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
 
 
 def _run_nslit(geom: slits.SlitGeometry, params: Dict[str, Any]
-               ) -> Tuple[Dict[str, Any], Iterable[Sequence[Any]]]:
+               ) -> Tuple[Dict[str, Any], Lines]:
     opened = params.get("open_slits")
     if opened is None:
         opened = list(range(geom.n_slits))
     profile = slits.intensity_profile(geom, params["y_min"], params["y_max"],
                                       params["n_points"], opened)
     peaks = slits.refined_maxima(profile)
-    spacing = slits.fringe_spacing(profile)
+    spacing = slits.median_spacing(peaks)
     summary = {
         "open_slits": opened,
         "n_points": params["n_points"],
@@ -61,26 +76,28 @@ def _run_nslit(geom: slits.SlitGeometry, params: Dict[str, Any]
         "fringe_spacing_estimate_m": spacing,
         "peak_intensity": max(profile.probabilities),
     }
-    rows = chain([("y_m", "probability")],
-                 zip(profile.screen_points, profile.probabilities))
-    return summary, rows
+    lines = chain(["y_m,probability\n"],
+                  (f"{y!r},{p!r}\n" for y, p in zip(profile.screen_points,
+                                                    profile.probabilities)))
+    return summary, lines
 
 
 def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
-                ) -> Tuple[Dict[str, Any], Iterable[Sequence[Any]]]:
+                ) -> Tuple[Dict[str, Any], Lines]:
     triple = tuple(params["triple"])
-    profile = slits.intensity_profile(geom, params["y_min"], params["y_max"],
-                                      params["n_points"], triple)
+    profile, residuals = slits.sorkin_profile(
+        geom, params["y_min"], params["y_max"], params["n_points"], triple)
     peak = max(profile.probabilities)
-    residuals = slits.sorkin_invariant(geom, profile.screen_points, triple)
     summary = {
         "triple": list(triple),
         "peak_scale": peak,
         "max_abs_I3": max(map(abs, residuals)),
     }
-    rows = chain([("y_m", "I3", "peak_scale")],
-                 zip(profile.screen_points, residuals, repeat(peak)))
-    return summary, rows
+    end = f",{peak!r}\n"
+    lines = chain(["y_m,I3,peak_scale\n"],
+                  (f"{y!r},{r!r}{end}" for y, r in zip(profile.screen_points,
+                                                      residuals)))
+    return summary, lines
 
 
 def _run_delayed(geom: slits.SlitGeometry, params: Dict[str, Any]
@@ -99,13 +116,15 @@ def _run_delayed(geom: slits.SlitGeometry, params: Dict[str, Any]
 
 
 def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
-              ) -> Tuple[Dict[str, Any], List[List[Any]]]:
+              ) -> Tuple[Dict[str, Any], Lines]:
     report = frequency.convergence_report(space, params["schedule"],
                                           params["seed"])
-    rows: List[List[Any]] = [["N", "outcome", "estimate", "abs_error"]]
-    for n, row, err in zip(report.schedule, report.estimates, report.errors):
-        for lab in space.labels:
-            rows.append([n, lab, row[lab], err[lab]])
+    cells = [(lab, _csv_cell(lab)) for lab in space.labels]
+    lines = chain(["N,outcome,estimate,abs_error\n"],
+                  (f"{n},{cell},{row[lab]!r},{err[lab]!r}\n"
+                   for n, row, err in zip(report.schedule, report.estimates,
+                                          report.errors)
+                   for lab, cell in cells))
     summary = {
         "generator": frequency.GENERATOR_ID,
         "seed": params["seed"],
@@ -113,7 +132,7 @@ def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
         "phase": params["phase"],
         "max_errors": list(report.max_errors),
     }
-    return summary, rows
+    return summary, lines
 
 
 _RUNNERS = {
@@ -125,23 +144,55 @@ _RUNNERS = {
 }
 
 
+def _json_chunks(summary: Dict[str, Any]) -> Iterator[str]:
+    """The text of `json.dumps(summary, indent=2)` in pieces, from calls to
+    the C encoder (which `indent` turns off): a non-empty list or dict of
+    scalars is encoded a few hundred items at a time, with the newline and
+    indent in the item separator; anything else takes the pure-Python
+    encoder."""
+    if not summary:
+        yield "{}"
+        return
+    sep = "{\n  "
+    for key, value in summary.items():
+        yield f"{sep}{json.dumps(key)}: "
+        sep = ",\n  "
+        is_dict = isinstance(value, dict)
+        if isinstance(value, (list, dict)) and value and \
+                _JSON_SCALARS.issuperset(map(type, value.values() if is_dict
+                                             else value)):
+            opener, closer = "{}" if is_dict else "[]"
+            items = iter(value.items() if is_dict else value)
+            start = f"{opener}\n    "
+            while group := list(islice(items, _ITEMS_PER_WRITE)):
+                text = json.dumps(dict(group) if is_dict else group,
+                                  separators=(",\n    ", ": "))
+                yield start + text[1:-1]
+                start = ",\n    "
+            yield f"\n  {closer}"
+        else:
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield "\n}"
+
+
 def _write_outputs(base: Path, summary: Dict[str, Any],
-                   rows: Optional[Iterable[Sequence[Any]]], fmt: str,
+                   lines: Optional[Lines], fmt: str,
                    timestamp: bool) -> List[Path]:
-    """Write BASE.json, and BASE.csv when there are rows and the format is
+    """Write BASE.json, and BASE.csv when there are lines and the format is
     csv, appending the suffix to BASE's name (so `run.v1` writes
     `run.v1.json`); returns the paths written."""
     if timestamp:
         summary["generated_at"] = datetime.now(timezone.utc).isoformat()
     base.parent.mkdir(parents=True, exist_ok=True)
     written = [base.with_name(base.name + ".json")]
-    with open(written[0], "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2)
+    with open(written[0], "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(_json_chunks(summary))
         fh.write("\n")
-    if rows is not None and fmt == "csv":
+    if lines is not None and fmt == "csv":
         written.append(base.with_name(base.name + ".csv"))
         with open(written[1], "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+            while chunk := "".join(islice(lines, _ITEMS_PER_WRITE)):
+                fh.write(chunk)
     return written
 
 

@@ -133,14 +133,15 @@ def _amplitudes(geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int]
 
 
 def _blockwise(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-               geom: SlitGeometry, ys: np.ndarray,
-               opened: Sequence[int]) -> np.ndarray:
-    """fn(amplitudes, points) over ys, about _BLOCK_CELLS cells at a time."""
-    out = np.empty(len(ys))
+               geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int],
+               lead: Tuple[int, ...] = ()) -> np.ndarray:
+    """fn(amplitudes, points) over ys, about _BLOCK_CELLS cells at a time;
+    fn returns an array of shape lead + (points,)."""
+    out = np.empty(lead + (len(ys),))
     step = max(1, _BLOCK_CELLS // len(opened))
     for start in range(0, len(ys), step):
         rows = slice(start, start + step)
-        out[rows] = fn(_amplitudes(geom, ys[rows], opened), ys[rows])
+        out[..., rows] = fn(_amplitudes(geom, ys[rows], opened), ys[rows])
     return out
 
 
@@ -246,22 +247,29 @@ def pairwise_interference(geom: SlitGeometry, y: float, i: int,
     return interference_term(*map(Amplitude.from_complex, amps[0].tolist()))
 
 
+def _sorkin_terms(geom: SlitGeometry, ys: np.ndarray, triple: Sequence[int],
+                  opened: Sequence[int]) -> np.ndarray:
+    """Rows (triple-open probability, I3) at each point of ys, from one
+    kernel pass: seven subset-open sums, taken as column subsets of one
+    amplitude matrix; `opened` is the checked triple, sorted."""
+    a, b, c = triple
+
+    def terms(amps: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, ...]:
+        p = lambda *idx: _born(amps[:, sorted(map(opened.index, idx))], ys)
+        abc = p(a, b, c)
+        return abc, abc - p(a, b) - p(a, c) - p(b, c) + p(a) + p(b) + p(c)
+
+    return _blockwise(terms, geom, ys, opened, (2,))
+
+
 def sorkin_invariant(geom: SlitGeometry, y: float | Sequence[float],
                      triple: Sequence[int]) -> float | Tuple[float, ...]:
     """Third-order interference residual for three slits at screen point y,
-    or at each point of a sequence y (then a tuple of floats): seven
-    subset-open sums, taken as column subsets of one amplitude matrix; zero
-    to rounding, as probabilities hold only self and pairwise terms."""
-    opened = check_triple(geom, triple)
-    a, b, c = triple
-
-    def residual(amps: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        p = lambda *idx: _born(amps[:, sorted(map(opened.index, idx))], ys)
-        return (p(a, b, c) - p(a, b) - p(a, c) - p(b, c)
-                + p(a) + p(b) + p(c))
-
+    or at each point of a sequence y (then a tuple of floats); zero to
+    rounding, as probabilities hold only self and pairwise terms."""
     ys = np.asarray(y, dtype=float)
-    i3 = _blockwise(residual, geom, ys.reshape(-1), opened)
+    i3 = _sorkin_terms(geom, ys.reshape(-1), triple,
+                       check_triple(geom, triple))[1]
     return float(i3[0]) if ys.ndim == 0 else tuple(i3.tolist())
 
 
@@ -275,6 +283,20 @@ def intensity_profile(geom: SlitGeometry, y_min: float, y_max: float,
     probs = _blockwise(_born, geom, grid, opened)
     return IntensityProfile(screen_points=tuple(grid.tolist()),
                             probabilities=tuple(probs.tolist()))
+
+
+def sorkin_profile(geom: SlitGeometry, y_min: float, y_max: float,
+                   n_points: int, triple: Sequence[int]
+                   ) -> Tuple[IntensityProfile, Tuple[float, ...]]:
+    """`intensity_profile` with the triple open and `sorkin_invariant` at
+    its grid points, equal to both bit for bit, from one kernel pass."""
+    opened = check_triple(geom, triple)
+    check_profile(geom, y_min, y_max, n_points, opened)
+    grid = np.linspace(y_min, y_max, n_points)
+    probs, i3 = _sorkin_terms(geom, grid, triple, opened)
+    return (IntensityProfile(screen_points=tuple(grid.tolist()),
+                             probabilities=tuple(probs.tolist())),
+            tuple(i3.tolist()))
 
 
 def delayed_choice(geom: SlitGeometry,
@@ -307,7 +329,14 @@ def refined_maxima(profile: IntensityProfile) -> list[float]:
 def fringe_spacing(profile: IntensityProfile) -> Optional[float]:
     """Median spacing between adjacent refined maxima, or None if fewer
     than two maxima exist."""
-    gaps = sorted(np.diff(refined_maxima(profile)).tolist())
+    return median_spacing(refined_maxima(profile))
+
+
+def median_spacing(peaks: Sequence[float]) -> Optional[float]:
+    """Median gap between adjacent entries of `peaks`, screen positions in
+    the order `refined_maxima` returns them, or None if there are fewer
+    than two."""
+    gaps = sorted(np.diff(peaks).tolist())
     if not gaps:
         return None
     mid = len(gaps) // 2

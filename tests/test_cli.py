@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from amprob import cli, config, events, frequency, slits
 from amprob.cli import main
@@ -410,3 +411,147 @@ def test_summary_names_the_experiment_first(tmp_path, text):
 def test_every_table_names_the_same_five_experiments():
     assert list(config.OUTPUT_FORMATS) == list(config.FIELD_REGISTRY) == \
         list(cli._RUNNERS) == ["coin", "nslit", "sorkin", "delayed", "freq"]
+
+
+def csv_module_text(rows):
+    """The text csv.writer(lineterminator="\n") writes for rows."""
+    fh = io.StringIO()
+    csv.writer(fh, lineterminator="\n").writerows(rows)
+    return fh.getvalue()
+
+
+def written_csv(tmp_path, experiment, subject, params):
+    """BASE.csv's bytes from one runner's table."""
+    summary, lines = cli._RUNNERS[experiment](subject, params)
+    paths = cli._write_outputs(tmp_path / experiment, summary, lines, "csv",
+                               False)
+    return paths[1].read_bytes()
+
+
+CSV_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-300, 1e16, -1e16, 0.1, 1e22]),
+    st.floats())
+CSV_LABELS = st.text(st.one_of(st.sampled_from('",\n\r é☃'),
+                               st.characters(codec="utf-8")),
+                     min_size=1, max_size=6)
+FUNCTION_SCOPED = settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUNCTION_SCOPED
+@given(st.lists(st.tuples(CSV_FLOATS, CSV_FLOATS), min_size=1, max_size=40))
+def test_nslit_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch,
+                                                 points):
+    ys, probs = map(tuple, zip(*points))
+    monkeypatch.setattr(slits, "intensity_profile",
+                        lambda *args: slits.IntensityProfile(ys, probs))
+    monkeypatch.setattr(slits, "refined_maxima", lambda profile: [])
+    params = {"y_min": -1.0, "y_max": 1.0, "n_points": len(ys),
+              "open_slits": [0]}
+    assert written_csv(tmp_path, "nslit", None, params) == csv_module_text(
+        [("y_m", "probability"), *points]).encode("utf-8")
+
+
+@FUNCTION_SCOPED
+@given(st.lists(st.tuples(CSV_FLOATS, CSV_FLOATS, CSV_FLOATS), min_size=1,
+                max_size=40))
+def test_sorkin_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch,
+                                                  points):
+    ys, probs, residuals = map(tuple, zip(*points))
+    monkeypatch.setattr(slits, "sorkin_profile", lambda *args: (
+        slits.IntensityProfile(ys, probs), residuals))
+    params = {"y_min": -1.0, "y_max": 1.0, "n_points": len(ys),
+              "triple": [2, 0, 1]}
+    peak = max(probs)
+    assert written_csv(tmp_path, "sorkin", None, params) == csv_module_text(
+        [("y_m", "I3", "peak_scale"),
+         *((y, r, peak) for y, _, r in points)]).encode("utf-8")
+
+
+@FUNCTION_SCOPED
+@given(st.data())
+def test_freq_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch, data):
+    labels = data.draw(st.lists(CSV_LABELS, min_size=1, max_size=5,
+                                unique=True))
+    schedule = data.draw(st.lists(st.integers(1, 2 ** 63 - 1), min_size=1,
+                                  max_size=3))
+    stage = st.fixed_dictionaries({lab: CSV_FLOATS for lab in labels})
+    estimates = [data.draw(stage) for _ in schedule]
+    errors = [data.draw(stage) for _ in schedule]
+    report = frequency.ConvergenceReport(
+        tuple(schedule), tuple(estimates), tuple(errors),
+        tuple(max(err.values()) for err in errors))
+    monkeypatch.setattr(frequency, "convergence_report",
+                        lambda *args: report)
+    space = events.classical_space([1.0] * len(labels), labels)
+    params = {"schedule": schedule, "seed": 0, "phase": 0.0}
+    assert written_csv(tmp_path, "freq", space, params) == csv_module_text(
+        [("N", "outcome", "estimate", "abs_error"),
+         *((n, lab, est[lab], err[lab])
+           for n, est, err in zip(schedule, estimates, errors)
+           for lab in labels)]).encode("utf-8")
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(), st.text())
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.lists(JSON_SCALARS, max_size=5),
+    st.dictionaries(st.text(), JSON_SCALARS, max_size=5),
+    st.lists(st.lists(JSON_SCALARS, max_size=3), max_size=3),
+    st.dictionaries(st.text(), st.lists(JSON_SCALARS, max_size=3),
+                    max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+@example({})
+@example({"ключ": [], "b": {}, "c": None, "ü": {"é\n\"": 1.5, "": [0.1]},
+          "d": [-0.0, 5e-324, 1e16, float("nan"), "☃"]})
+@example({"long": list(range(1025)), "wide": {f"k{i}": i / 3 for i in range(
+    1100)}})
+def test_json_chunks_are_json_indent_2(summary):
+    assert "".join(cli._json_chunks(summary)) == \
+        json.dumps(summary, indent=2)
+
+
+@pytest.mark.parametrize("text", [
+    COIN.replace("weights = 1, 1\nlabels = h, t",
+                 "weights = " + ", ".join(map(str, range(1, 151)))
+                 + "\nlabels = " + ", ".join(f"é{i}" for i in range(150))),
+    NSLIT.replace("n_points = 2001", "n_points = 2001\nformat = json"),
+    SORKIN, DELAYED, FREQ], ids=["coin150", "nslit", "sorkin", "delayed",
+                                 "freq"])
+def test_written_json_is_json_indent_2(tmp_path, text):
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    raw = out.with_suffix(".json").read_bytes()
+    assert raw == (json.dumps(json.loads(raw), indent=2) + "\n").encode()
+
+
+def test_one_kernel_pass_per_sorkin_run(tmp_path, monkeypatch):
+    passes = []
+    real = slits._blockwise
+
+    def counted(*args, **kwargs):
+        passes.append(args[2].size)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(slits, "_blockwise", counted)
+    assert run_cli(tmp_path, SORKIN)[0] == 0
+    assert passes == [201]
+
+
+def test_one_refined_maxima_per_nslit_run(tmp_path, monkeypatch):
+    calls = []
+    real = slits.refined_maxima
+    monkeypatch.setattr(slits, "refined_maxima",
+                        lambda profile: calls.append(1) or real(profile))
+    code, out = run_cli(tmp_path, NSLIT)
+    assert code == 0 and calls == [1]
+    profile = slits.intensity_profile(
+        config.parse_config(NSLIT).subject, -0.1, 0.1, 2001)
+    summary = json.loads(out.with_suffix(".json").read_text())
+    assert summary["fringe_spacing_estimate_m"] == \
+        slits.fringe_spacing(profile)

@@ -591,3 +591,50 @@ def test_accepted_grids_strictly_increase(grid):
     except UsageError:
         return
     assert np.all(np.diff(np.linspace(y_min, y_max, n_points)) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8), st.floats(0.3e-6, 5e-6), st.floats(4e-7, 8e-7),
+       st.floats(0.2, 2.0), st.floats(0.005, 0.1), st.integers(2, 4000),
+       st.randoms(use_true_random=False))
+def test_sorkin_profile_equals_profile_and_invariant(n_slits, spacing,
+                                                     wavelength, screen,
+                                                     half, n_points, rnd):
+    # 4000 points span three kernel blocks of three slits
+    offsets = tuple((i - n_slits / 2 + rnd.uniform(0.0, 0.3)) * spacing
+                    for i in range(n_slits))
+    geom = SlitGeometry(source=(-rnd.uniform(0.5, 2.0), 0.0),
+                        slit_plane_x=0.0, slit_offsets=offsets,
+                        screen_plane_x=screen, wavelength=wavelength)
+    triple = rnd.sample(range(n_slits), 3)
+    profile, residuals = slits.sorkin_profile(geom, -half, half, n_points,
+                                              triple)
+    reference = intensity_profile(geom, -half, half, n_points, triple)
+    bits = lambda xs: [x.hex() for x in xs]
+    assert bits(profile.screen_points) == bits(reference.screen_points)
+    assert bits(profile.probabilities) == bits(reference.probabilities)
+    assert bits(residuals) == bits(sorkin_invariant(
+        geom, reference.screen_points, triple))
+
+
+def test_sorkin_profile_names_the_key_at_fault():
+    geom = SlitGeometry(source=(-1.0, 0.0), slit_plane_x=0.0,
+                        slit_offsets=(-1e-5, 0.0, 1e-5),
+                        screen_plane_x=1.0, wavelength=WAVELENGTH)
+    for args, key in (((-0.1, 0.1, 11, (0, 1, 1)), "triple"),
+                      ((-0.1, 0.1, 11, (0, 1)), "triple"),
+                      ((0.1, -0.1, 11, (2, 0, 1)), "y_min"),
+                      ((-0.1, 0.1, 1, (2, 0, 1)), "n_points")):
+        with pytest.raises(UsageError) as err:
+            slits.sorkin_profile(geom, *args)
+        assert err.value.key == key
+
+
+def test_median_spacing_is_the_fringe_spacing_rule():
+    assert slits.median_spacing([]) is None
+    assert slits.median_spacing([0.5]) is None
+    assert slits.median_spacing([0.0, 1.0, 3.0, 7.0]) == 2.0
+    assert slits.median_spacing([0.0, 1.0, 3.0]) == 1.5
+    profile = intensity_profile(two_slit(), -0.08, 0.08, 2001)
+    assert fringe_spacing(profile) == \
+        slits.median_spacing(refined_maxima(profile))

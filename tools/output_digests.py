@@ -9,17 +9,19 @@ is digested too). `amprob` is imported from whichever `src` comes first
 on PYTHONPATH, so the same config set can run against two trees. The set:
 acceptance criterion 11's `VALID_CONFIGS` (from `tests/test_acceptance.py`),
 nslit with `format = json`, freq with seed 2**64 - 1, sorkin with an
-unsorted triple, freq with a `"` inside a label, and 30 seeded random nslit
-configs. Exits 1 if any run fails.
+unsorted triple, freq with a `"` inside a label, a 150-outcome coin (a
+22,500-entry `joint_table`), a 2,000-outcome freq with a `"` in one label,
+30 seeded random nslit configs and 10 seeded random sorkin configs (3-8
+slits, unsorted triples, up to 10**4 points). Exits 1 if any run fails.
 
 To check that a change writes the same bytes as its parent commit:
 
-    git worktree add ../amprob-parent HEAD~1
+    mkdir ../amprob-parent && git archive HEAD~1 | tar -x -C ../amprob-parent
     PYTHONPATH=../amprob-parent/src python3 tools/output_digests.py \\
         /tmp/digests-parent > parent.txt
     PYTHONPATH=src python3 tools/output_digests.py /tmp/digests-change \\
         > change.txt
-    diff parent.txt change.txt && git worktree remove ../amprob-parent
+    diff parent.txt change.txt && rm -r ../amprob-parent
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import hashlib
 import random
 import sys
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Tuple
 
 sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "tests"))
 
@@ -37,19 +39,35 @@ from amprob.cli import main  # noqa: E402
 from test_acceptance import GEOM_KEYS, VALID_CONFIGS  # noqa: E402
 
 RANDOM_NSLIT_SEED = 2011
+RANDOM_SORKIN_SEED = 1994
 
 
-def _random_nslit(rng: random.Random) -> str:
-    n_slits = rng.randint(2, 8)
+def _random_grid(rng: random.Random, experiment: str, min_slits: int,
+                 max_points: int) -> Tuple[str, int]:
+    """A random geometry and screen grid; returns the text and the number
+    of slits."""
+    n_slits = rng.randint(min_slits, 8)
     spacing = rng.uniform(2e-6, 5e-5)
     offsets = [(i - (n_slits - 1) / 2) * spacing for i in range(n_slits)]
     half = rng.uniform(0.01, 0.2)
-    text = (f"experiment = nslit\nwavelength = {rng.uniform(4e-7, 8e-7)!r}\n"
+    text = (f"experiment = {experiment}\n"
+            f"wavelength = {rng.uniform(4e-7, 8e-7)!r}\n"
             f"source_x = {-rng.uniform(0.5, 2.0)!r}\n"
             f"screen_plane_x = {rng.uniform(0.5, 2.0)!r}\n"
             f"slit_offsets = {', '.join(map(repr, offsets))}\n"
             f"y_min = {-half!r}\ny_max = {half!r}\n"
-            f"n_points = {rng.randint(2, 400)}\n")
+            f"n_points = {rng.randint(2, max_points)}\n")
+    return text, n_slits
+
+
+def _random_sorkin(rng: random.Random) -> str:
+    text, n_slits = _random_grid(rng, "sorkin", 3, 10 ** 4)
+    triple = rng.sample(range(n_slits), 3)
+    return text + f"triple = {', '.join(map(str, triple))}\n"
+
+
+def _random_nslit(rng: random.Random) -> str:
+    text, n_slits = _random_grid(rng, "nslit", 2, 400)
     if rng.random() < 0.5:
         opened = rng.sample(range(n_slits), rng.randint(1, n_slits))
         text += f"open_slits = {', '.join(map(str, opened))}\n"
@@ -74,9 +92,22 @@ def configs() -> Dict[str, str]:
     named["freq_quote"] = ("experiment = freq\nweights = 1, 2\n"
                            "labels = say \"hi\", b\nschedule = 5, 50\n"
                            "seed = 11\n")
+    named["coin_150"] = (
+        "experiment = coin\n"
+        f"weights = {', '.join(str(1 + i % 7) for i in range(150))}\n"
+        f"labels = {', '.join(f'o{i}' for i in range(150))}\n")
+    named["freq_2000_quote"] = (
+        "experiment = freq\n"
+        f"weights = {', '.join(str(1 + i % 5) for i in range(2000))}\n"
+        "labels = say \"hi\", "
+        f"{', '.join(f'o{i}' for i in range(1, 2000))}\n"
+        "schedule = 10, 1000, 100000\nseed = 5\n")
     rng = random.Random(RANDOM_NSLIT_SEED)
     for i in range(30):
         named[f"nslit_random{i:02d}"] = _random_nslit(rng)
+    rng = random.Random(RANDOM_SORKIN_SEED)
+    for i in range(10):
+        named[f"sorkin_random{i:02d}"] = _random_sorkin(rng)
     return named
 
 
