@@ -16,7 +16,8 @@ class UsageError(AmprobError, ValueError):
 
 class DomainError(AmprobError, ValueError):
     """The inputs are syntactically fine but mathematically inadmissible
-    (non-finite values, null total amplitude, zero-probability collapse)."""
+    (non-finite values, a total probability float64 cannot hold, null
+    total amplitude, zero-probability collapse)."""
 
 
 class InvariantError(AmprobError, RuntimeError):

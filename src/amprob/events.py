@@ -9,6 +9,7 @@ the amplitudes carry.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -21,11 +22,19 @@ NORMALIZATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SampleSpace:
-    """Ordered outcomes (string labels) with one amplitude each."""
+    """Ordered outcomes (string labels) with one amplitude each.
+
+    `born` is the read-only |A|^2 vector in outcome order, computed once
+    when the space is built, as is its total (the builtin `sum`, left to
+    right); every probability of the space reads them.
+    """
 
     labels: Tuple[str, ...]
     amplitudes: Tuple[Amplitude, ...]
+    born: Tuple[Probability, ...] = field(init=False, compare=False,
+                                          repr=False)
     _positions: Dict[str, int] = field(init=False, compare=False, repr=False)
+    _total: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
@@ -38,7 +47,14 @@ class SampleSpace:
         if not all(self.labels) or len(positions) != len(self.labels):
             raise UsageError("outcome labels must be non-empty and distinct",
                              "labels")
+        born = tuple(map(born_probability, self.amplitudes))
+        total = sum(born)
+        if not math.isfinite(total):
+            raise DomainError("total probability of the amplitudes "
+                              "overflows float64")
         object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "born", born)
+        object.__setattr__(self, "_total", total)
 
     def index(self, label: str) -> int:
         try:
@@ -47,7 +63,7 @@ class SampleSpace:
             raise UsageError(f"unknown outcome {label!r}") from None
 
     def total_probability(self) -> float:
-        return sum(born_probability(a) for a in self.amplitudes)
+        return self._total
 
     @property
     def is_normalized(self) -> bool:
@@ -62,8 +78,8 @@ class SampleSpace:
         1 ulp; x / (x + x) is 0.5), else raw. One total per call."""
         total = self.total_probability()
         scale = total if _is_unit(total) else 1.0  # x / 1.0 is exactly x
-        amps = self.amplitudes
-        return [born_probability(amps[i]) / scale for i in positions]
+        born = self.born
+        return [born[i] / scale for i in positions]
 
 
 def _is_unit(total: float) -> bool:
@@ -122,8 +138,18 @@ def normalize(space: SampleSpace) -> SampleSpace:
     """Rescale all amplitudes by one positive constant so probabilities sum
     to 1; phases are untouched."""
     total = space.total_probability()
-    if total <= 0:
-        raise DomainError("cannot normalize a null amplitude assignment")
+    if total < sys.float_info.min:
+        # |A|^2 terms below the normal range have lost their precision or
+        # underflowed to 0; scaling every amplitude by one power of two is
+        # exact and brings the largest component into [0.5, 1)
+        peak = max(max(abs(a.re), abs(a.im)) for a in space.amplitudes)
+        if peak == 0:
+            raise DomainError("cannot normalize a null amplitude assignment")
+        shift = -math.frexp(peak)[1]
+        space = SampleSpace(space.labels, tuple(
+            Amplitude(math.ldexp(a.re, shift), math.ldexp(a.im, shift))
+            for a in space.amplitudes))
+        total = space.total_probability()
     scale = 1.0 / math.sqrt(total)
     amps = tuple(Amplitude(a.re * scale, a.im * scale)
                  for a in space.amplitudes)
@@ -154,7 +180,7 @@ def collapse(space: SampleSpace, observed: str) -> SampleSpace:
     """Project the space onto one observed outcome: amplitude 1 there, 0
     elsewhere, same outcome set."""
     idx = space.index(observed)
-    if born_probability(space.amplitudes[idx]) <= 0:
+    if space.born[idx] <= 0:
         raise DomainError(
             f"cannot collapse onto zero-probability outcome {observed!r}")
     amps = tuple(ONE if i == idx else ZERO for i in range(len(space.labels)))

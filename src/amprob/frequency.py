@@ -14,7 +14,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .amplitude import Amplitude, born_probability
+from .amplitude import Amplitude
 from .errors import UsageError
 from .events import SampleSpace
 
@@ -87,7 +87,7 @@ def record_trials(space: SampleSpace, n: int, seed: int) -> TrialLedger:
     _check_count(n, "n")
     if not space.is_normalized:
         raise UsageError("record_trials requires a normalized space")
-    probs = np.array([born_probability(a) for a in space.amplitudes])
+    probs = np.array(space.born)
     probs = probs / probs.sum()
     counts = _rng(seed).multinomial(n, probs)
     return TrialLedger(

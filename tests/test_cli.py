@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from amprob import cli, config, events, frequency, slits
+from amprob import amplitude, cli, config, events, frequency, slits
 from amprob.cli import main
 
 GEOMETRY = """\
@@ -555,3 +555,26 @@ def test_one_refined_maxima_per_nslit_run(tmp_path, monkeypatch):
     summary = json.loads(out.with_suffix(".json").read_text())
     assert summary["fringe_spacing_estimate_m"] == \
         slits.fringe_spacing(profile)
+
+
+def test_one_born_term_per_outcome_per_freq_run(tmp_path, monkeypatch):
+    # every probability of a space reads the |A|^2 vector built with it:
+    # a 4-stage run on 10**4 outcomes squares each amplitude once
+    calls = []
+    real = amplitude.born_probability
+
+    def counted(a):
+        calls.append(1)
+        return real(a)
+
+    for mod in (amplitude, events, frequency, cli, config):
+        for key, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, key, counted)
+    n = 10 ** 4
+    text = ("experiment = freq\n"
+            f"weights = {', '.join(str(1 + i % 5) for i in range(n))}\n"
+            f"labels = {', '.join(f'o{i}' for i in range(n))}\n"
+            "schedule = 10, 100, 1000, 10000\nseed = 3\n")
+    assert run_cli(tmp_path, text)[0] == 0
+    assert len(calls) == n

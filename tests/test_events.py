@@ -116,6 +116,31 @@ def test_normalize_null():
         normalize(s)
 
 
+def test_normalize_rescales_a_subnormal_total():
+    # 3e-160**2 is subnormal: scaling by the total of these squares left
+    # a total of 1.0000111
+    s = SampleSpace(("a", "b"), (Amplitude(3e-160, 0.0),
+                                 Amplitude(1e-160, 0.0)))
+    n = normalize(s)
+    assert n.is_normalized
+    assert n.total_probability() == pytest.approx(1.0, abs=1e-15)
+    assert n.amplitudes[0].re == pytest.approx(3 / math.sqrt(10), rel=1e-15)
+    assert n.amplitudes[1].re == pytest.approx(1 / math.sqrt(10), rel=1e-15)
+    # a total that underflows to 0 is not a null assignment either
+    tiny = normalize(SampleSpace(("a", "b"), (Amplitude(0.0, -1e-170),
+                                              Amplitude(0.0, 0.0))))
+    assert tiny.amplitudes == (Amplitude(0.0, -1.0), Amplitude(0.0, 0.0))
+
+
+def test_space_rejects_an_overflowing_total():
+    with pytest.raises(DomainError, match="overflows"):
+        SampleSpace(("a", "b"), (Amplitude(1e200, 0.0),
+                                 Amplitude(1.0, 0.0)))
+    with pytest.raises(DomainError, match="overflows"):  # finite terms
+        SampleSpace(("a", "b"), (Amplitude(1e154, 0.0),
+                                 Amplitude(0.0, 1e154)))
+
+
 def test_union_decomposition_examples():
     r = union_decomposition(0.5, 0.5, 0.0)
     assert r.p_union == 1.0
@@ -321,3 +346,15 @@ def test_full_subset_event_is_linear_in_outcomes():
     assert p == pytest.approx(1.0, abs=1e-12)
     assert elapsed < 0.5
 
+
+def test_every_outcome_probability_is_constant_time():
+    # re-summing the space per outcome makes this loop O(outcomes^2),
+    # seconds
+    n = 5_000
+    labels = [f"o{i}" for i in range(n)]
+    space = classical_space([1.0 + i % 7 for i in range(n)], labels)
+    start = time.perf_counter()
+    ps = [outcome_probability(space, lab) for lab in labels]
+    elapsed = time.perf_counter() - start
+    assert sum(ps) == pytest.approx(1.0, abs=1e-12)
+    assert elapsed < 0.5

@@ -1,10 +1,15 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from amprob import (
     GENERATOR_ID,
+    Amplitude,
+    SampleSpace,
     TrialLedger,
     UsageError,
     amplitude_from_frequency,
@@ -12,6 +17,7 @@ from amprob import (
     child_seed,
     classical_space,
     convergence_report,
+    normalize,
     record_trials,
 )
 
@@ -49,6 +55,30 @@ def test_record_trials_preconditions():
     unnorm = SampleSpace(("a", "b"), (Amplitude(1, 0), Amplitude(1, 0)))
     with pytest.raises(UsageError):
         record_trials(unnorm, 10, 1)
+
+
+@st.composite
+def phased_spaces(draw):
+    n = draw(st.integers(1, 24))
+    mags = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    phases = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n,
+                           max_size=n))
+    mags[draw(st.integers(0, n - 1))] = draw(st.floats(1e-300, 10.0))
+    return normalize(SampleSpace(tuple(f"o{i}" for i in range(n)),
+                                 tuple(Amplitude.from_polar(m, ph)
+                                       for m, ph in zip(mags, phases))))
+
+
+@given(phased_spaces(), st.integers(1, 10 ** 6), st.integers(0, 2 ** 64 - 1))
+def test_record_trials_draws_from_the_born_vector(space, n, seed):
+    assert space.total_probability() == sum(born_probability(a)
+                                            for a in space.amplitudes)
+    # the multinomial written out on its own Born vector
+    probs = np.array([born_probability(a) for a in space.amplitudes])
+    probs = probs / probs.sum()
+    counts = np.random.Generator(np.random.PCG64(seed)).multinomial(n, probs)
+    assert record_trials(space, n, seed).counts == dict(
+        zip(space.labels, counts.tolist()))
 
 
 def test_ledger_invariant():

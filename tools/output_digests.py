@@ -11,8 +11,12 @@ acceptance criterion 11's `VALID_CONFIGS` (from `tests/test_acceptance.py`),
 nslit with `format = json`, freq with seed 2**64 - 1, sorkin with an
 unsorted triple, freq with a `"` inside a label, a 150-outcome coin (a
 22,500-entry `joint_table`), a 2,000-outcome freq with a `"` in one label,
-30 seeded random nslit configs and 10 seeded random sorkin configs (3-8
-slits, unsorted triples, up to 10**4 points). Exits 1 if any run fails.
+30 seeded random nslit configs, 10 seeded random sorkin configs (3-8
+slits, unsorted triples, up to 10**4 points), 10 seeded random coin
+configs (2-150 outcomes) and 10 seeded random freq configs (2-10**4
+outcomes, 2-4 stages, half with a phase); the random weights are full
+`repr` floats, about 5 % of them 0. 133 files in all. Exits 1 if any run
+fails.
 
 To check that a change writes the same bytes as its parent commit:
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import random
 import sys
 from pathlib import Path
@@ -40,6 +45,8 @@ from test_acceptance import GEOM_KEYS, VALID_CONFIGS  # noqa: E402
 
 RANDOM_NSLIT_SEED = 2011
 RANDOM_SORKIN_SEED = 1994
+RANDOM_COIN_SEED = 1926
+RANDOM_FREQ_SEED = 1933
 
 
 def _random_grid(rng: random.Random, experiment: str, min_slits: int,
@@ -76,6 +83,34 @@ def _random_nslit(rng: random.Random) -> str:
     return text
 
 
+def _log_int(rng: random.Random, low: int, high: int) -> int:
+    return round(math.exp(rng.uniform(math.log(low), math.log(high))))
+
+
+def _random_space(rng: random.Random, experiment: str,
+                  max_outcomes: int) -> str:
+    n = _log_int(rng, 2, max_outcomes)
+    weights = ["0" if rng.random() < 0.05 else repr(rng.uniform(1e-3, 10))
+               for _ in range(n)]
+    if all(w == "0" for w in weights):
+        weights[rng.randrange(n)] = "1"
+    return (f"experiment = {experiment}\nweights = {', '.join(weights)}\n"
+            f"labels = {', '.join(f'o{i}' for i in range(n))}\n")
+
+
+def _random_freq(rng: random.Random) -> str:
+    text = _random_space(rng, "freq", 10 ** 4)
+    n_stages = rng.randint(2, 4)
+    stages = set()
+    while len(stages) < n_stages:
+        stages.add(_log_int(rng, 1, 10 ** 6))
+    text += (f"schedule = {', '.join(map(str, sorted(stages)))}\n"
+             f"seed = {rng.getrandbits(64)}\n")
+    if rng.random() < 0.5:
+        text += f"phase = {rng.uniform(-math.pi, math.pi)!r}\n"
+    return text
+
+
 def configs() -> Dict[str, str]:
     """Run name -> config text."""
     named = {f"valid{i:02d}": text for i, text in enumerate(VALID_CONFIGS)}
@@ -108,6 +143,12 @@ def configs() -> Dict[str, str]:
     rng = random.Random(RANDOM_SORKIN_SEED)
     for i in range(10):
         named[f"sorkin_random{i:02d}"] = _random_sorkin(rng)
+    rng = random.Random(RANDOM_COIN_SEED)
+    for i in range(10):
+        named[f"coin_random{i:02d}"] = _random_space(rng, "coin", 150)
+    rng = random.Random(RANDOM_FREQ_SEED)
+    for i in range(10):
+        named[f"freq_random{i:02d}"] = _random_freq(rng)
     return named
 
 
