@@ -48,10 +48,6 @@ class Amplitude:
             raise DomainError("magnitude must be non-negative")
         return cls(magnitude * math.cos(phase), magnitude * math.sin(phase))
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "Amplitude":
-        return cls(z.real, z.imag)
-
     @property
     def magnitude(self) -> float:
         return math.hypot(self.re, self.im)
@@ -61,9 +57,6 @@ class Amplitude:
         """Phase in (-pi, pi]."""
         p = math.atan2(self.im, self.re)
         return math.pi if p == -math.pi else p
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
 
 
 def conjugate(a: Amplitude) -> Amplitude:

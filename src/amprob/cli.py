@@ -62,9 +62,7 @@ def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
 
 def _run_nslit(geom: slits.SlitGeometry, params: Dict[str, Any]
                ) -> Tuple[Dict[str, Any], Lines]:
-    opened = params.get("open_slits")
-    if opened is None:
-        opened = list(range(geom.n_slits))
+    opened = params["open_slits"]
     profile = slits.intensity_profile(geom, params["y_min"], params["y_max"],
                                       params["n_points"], opened)
     peaks = slits.refined_maxima(profile)
@@ -102,9 +100,7 @@ def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
 
 def _run_delayed(geom: slits.SlitGeometry, params: Dict[str, Any]
                  ) -> Tuple[Dict[str, Any], None]:
-    detectors = params.get("detector_y")
-    if detectors is None:
-        detectors = list(geom.slit_offsets)
+    detectors = params["detector_y"]
     report = slits.delayed_choice(geom, detectors)
     summary = {
         "detector_y_m": list(detectors),

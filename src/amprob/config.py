@@ -5,10 +5,10 @@ separated. Lengths are SI meters; float keys also accept `_nm`, `_um` and
 `_mm` suffixed variants which are converted at parse time. Parse errors
 carry the offending key and line number.
 
-An `ExperimentConfig` is checked when it is constructed: it builds the
-run's subject (its `SampleSpace` or `SlitGeometry`) and calls the
-argument checks of the kernels the run feeds, so each rule lives in the
-domain code that owns it.
+An `ExperimentConfig` is resolved when it is constructed: it fills the
+omitted keys, builds the run's subject (its `SampleSpace` or
+`SlitGeometry`) and calls the argument checks of the kernels the run
+feeds, so each rule lives in the domain code that owns it.
 """
 
 from __future__ import annotations
@@ -78,9 +78,11 @@ FIELD_REGISTRY: Dict[str, Dict[str, Tuple[str, bool, Any]]] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A checked experiment. Construction builds `subject` once, the
-    sample space (coin, freq) or slit geometry (nslit, sorkin, delayed)
-    the run uses, and raises `UsageError` naming the key at fault."""
+    """A checked experiment, every argument resolved. Construction copies
+    `params`, fills each omitted key (`open_slits`: every slit;
+    `detector_y`: the slit offsets) and builds `subject` once, the sample
+    space (coin, freq) or slit geometry the run uses; a missing or bad
+    argument raises `UsageError` naming the key."""
 
     experiment: str
     params: Dict[str, Any]
@@ -90,6 +92,15 @@ class ExperimentConfig:
         init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        p = dict(self.params)
+        for key, (_, required, default) in \
+                FIELD_REGISTRY[self.experiment].items():
+            if key not in p:
+                if required:
+                    raise UsageError("missing required key", key)
+                if default is not None:
+                    p[key] = list(default) if isinstance(default, list) \
+                        else default
         formats = OUTPUT_FORMATS[self.experiment]
         if self.format is None:
             object.__setattr__(self, "format", formats[0])
@@ -98,7 +109,6 @@ class ExperimentConfig:
                              f"{' or '.join(formats)}", "format")
         if self.output is not None:
             check_output(self.output)
-        p = self.params
         if self.experiment in ("coin", "freq"):
             subject = events.classical_space(p["weights"], p["labels"])
         else:
@@ -116,16 +126,17 @@ class ExperimentConfig:
         elif self.experiment == "freq":
             frequency.check_schedule(p["schedule"], p["seed"])
         elif self.experiment == "nslit":
+            p.setdefault("open_slits", list(range(subject.n_slits)))
             slits.check_profile(subject, p["y_min"], p["y_max"],
-                                p["n_points"], p.get("open_slits"))
+                                p["n_points"], p["open_slits"])
         elif self.experiment == "sorkin":
             slits.check_triple(subject, p["triple"])
             slits.check_profile(subject, p["y_min"], p["y_max"],
                                 p["n_points"], p["triple"])
         else:
-            detectors = p.get("detector_y")
-            slits.check_detectors(subject, subject.slit_offsets
-                                  if detectors is None else detectors)
+            p.setdefault("detector_y", list(subject.slit_offsets))
+            slits.check_detectors(subject, p["detector_y"])
+        object.__setattr__(self, "params", p)
         object.__setattr__(self, "subject", subject)
 
 
@@ -188,7 +199,8 @@ def _resolve_unit(key: str) -> Tuple[str, float]:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a configuration document."""
+    """Parse a config document: syntax (lines, kinds, unit suffixes,
+    duplicate and unknown keys) here, the rest in `ExperimentConfig`."""
     assignments = _split_lines(text)
     lines: Dict[str, int] = {}  # line of each key, raw and unit-resolved
 
@@ -238,14 +250,6 @@ def parse_config(text: str) -> ExperimentConfig:
         params[base] = value
         lines[base] = lineno
 
-    for key, (kind, required, default) in registry.items():
-        if key not in params:
-            if required:
-                raise ConfigError("missing required key", key, None)
-            if default is not None:
-                params[key] = list(default) if isinstance(default, list) \
-                    else default
-
     try:
         return ExperimentConfig(experiment=experiment, params=params,
                                 output=output, format=fmt)
@@ -264,9 +268,8 @@ def _format_value(value: Any) -> str:
 def render_config(config: ExperimentConfig) -> str:
     """Serialize a config so that parse_config(render_config(c)) == c."""
     lines = [f"experiment = {config.experiment}"]
-    for key in FIELD_REGISTRY[config.experiment]:
-        if key in config.params:
-            lines.append(f"{key} = {_format_value(config.params[key])}")
+    lines += [f"{key} = {_format_value(config.params[key])}"
+              for key in FIELD_REGISTRY[config.experiment]]
     if config.output is not None:
         lines.append(f"output = {config.output}")
     lines.append(f"format = {config.format}")

@@ -4,11 +4,10 @@ Each slit contributes a two-leg path amplitude, source to slit and slit to
 screen, over exact Euclidean legs (no small-angle approximation). A leg's
 phase is its excess over the axial run, b**2 / (hypot(a, b) + a), in
 wavelengths mod 1: the dropped axial part is a global phase, and the
-probabilities stay within about 3e-11 of a 50-digit reference (reducing
-full leg lengths left ~3e-9). Excess paths of 2**52 wavelengths or more
-are rejected. Each slit's total amplitude has magnitude 1 / sqrt(n_slits);
-arrival probabilities are relative intensities, not normalized over the
-screen.
+probabilities stay within about 3e-11 of a 50-digit reference. Excess
+paths of 2**52 wavelengths or more are rejected. Each slit's total
+amplitude has magnitude 1 / sqrt(n_slits); arrival probabilities are
+relative intensities, not normalized over the screen.
 """
 
 from __future__ import annotations
@@ -244,7 +243,8 @@ def pairwise_interference(geom: SlitGeometry, y: float, i: int,
                           j: int) -> SignedProbability:
     """Signed cross term between slits i and j at screen point y."""
     amps = _amplitudes(geom, np.array([float(y)]), _open_list(geom, (i, j)))
-    return interference_term(*map(Amplitude.from_complex, amps[0].tolist()))
+    a, b = (Amplitude(z.real, z.imag) for z in amps[0].tolist())
+    return interference_term(a, b)
 
 
 def _sorkin_terms(geom: SlitGeometry, ys: np.ndarray, triple: Sequence[int],

@@ -153,3 +153,8 @@ def test_interference_closed_form(a1, a2):
     expected = bound * math.cos(a2.phase - a1.phase)
     assert abs(term - expected) <= 1e-12 * max(1.0, bound)
     assert abs(term) <= bound * (1 + 1e-12) + 1e-15
+
+
+def test_from_polar_rejects_a_negative_magnitude():
+    with pytest.raises(DomainError, match="non-negative"):
+        Amplitude.from_polar(-1.0, 0.0)

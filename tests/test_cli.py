@@ -191,6 +191,14 @@ def test_rejections_exit_2_naming_key(tmp_path, capsys, text, key):
     assert not out.with_suffix(".json").exists()
 
 
+def test_missing_key_exit_2_naming_key(tmp_path, capsys):
+    text = DELAYED.replace("wavelength_nm = 500\n", "")
+    assert validate(tmp_path, text) == 2
+    assert run_cli(tmp_path, text)[0] == 2
+    assert capsys.readouterr().err == \
+        "error: key 'wavelength': missing required key\n" * 2
+
+
 def test_utf8_bom_config_runs(tmp_path):
     assert validate(tmp_path, "\ufeff" + COIN) == 0
     assert run_cli(tmp_path, "\ufeff" + COIN)[0] == 0

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amprob import ConfigError, SampleSpace, SlitGeometry, UsageError
-from amprob.config import ExperimentConfig, parse_config, render_config
+from amprob.config import (FIELD_REGISTRY, ExperimentConfig, parse_config,
+                           render_config)
 from test_acceptance import INVALID_CONFIGS, VALID_CONFIGS
 
 COIN = """\
@@ -175,6 +176,65 @@ def test_config_is_checked_on_construction():
     with pytest.raises(UsageError) as exc:
         ExperimentConfig("coin", parse_config(COIN).params, format="csv")
     assert exc.value.key == "format"
+
+
+@pytest.mark.parametrize("old, new, key, line, message", [
+    ("wavelength_nm = 500", "wavelength = nan", "wavelength", 3,
+     "expected float"),
+    ("wavelength_nm = 500", "wavelength = 1e400", "wavelength", 3,
+     "expected float"),
+    ("n_points = 2001", "n_points_mm = 5", "n_points_mm", 9,
+     "unit suffix only valid on length keys"),
+    ("output = out/nslit", "output = out/nslit\nwavelength = 5e-07",
+     "wavelength", 11, "key set more than once"),
+], ids=["nan", "overflow", "suffix_on_int", "suffix_alias"])
+def test_parse_rejections_name_key_and_line(old, new, key, line, message):
+    with pytest.raises(ConfigError, match=message) as exc:
+        parse_config(NSLIT.replace(old, new))
+    assert (exc.value.key, exc.value.line) == (key, line)
+
+
+_GEOMETRY = {"wavelength": 5e-07, "source_x": -1.0, "screen_plane_x": 1.0,
+             "slit_offsets": [-1e-05, 0.0, 1e-05]}
+# Each experiment's required keys only, as a direct caller may give them.
+REQUIRED_PARAMS = {
+    "coin": {"weights": [1.0, 3.0], "labels": ["h", "t"]},
+    "nslit": {**_GEOMETRY, "y_min": -0.05, "y_max": 0.05, "n_points": 101},
+    "sorkin": {**_GEOMETRY, "y_min": -0.05, "y_max": 0.05, "n_points": 101},
+    "delayed": _GEOMETRY,
+    "freq": {"weights": [1.0, 3.0], "labels": ["h", "t"],
+             "schedule": [10, 100], "seed": 3},
+}
+DEFAULTS = {"source_y": 0.0, "slit_plane_x": 0.0, "open_slits": [0, 1, 2],
+            "triple": [0, 1, 2], "detector_y": _GEOMETRY["slit_offsets"],
+            "phase": 0.0}
+
+
+@pytest.mark.parametrize("experiment", list(FIELD_REGISTRY))
+def test_config_fills_every_key_parsed_or_built(experiment):
+    params = REQUIRED_PARAMS[experiment]
+    text = f"experiment = {experiment}\n" + "".join(
+        f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}\n"
+        for key, v in params.items())
+    built = ExperimentConfig(experiment, params)
+    assert params == REQUIRED_PARAMS[experiment]  # the caller's copy
+    for cfg in (built, parse_config(text)):
+        assert cfg == built
+        assert set(cfg.params) == set(FIELD_REGISTRY[experiment])
+        assert cfg.params == {**params, **{key: DEFAULTS[key] for key in
+                                           cfg.params if key not in params}}
+        assert parse_config(render_config(cfg)) == cfg
+
+
+def test_direct_config_names_a_missing_key():
+    with pytest.raises(UsageError) as exc:
+        ExperimentConfig("coin", {})
+    assert exc.value.key == "weights"
+    params = dict(REQUIRED_PARAMS["nslit"])
+    del params["y_min"]
+    with pytest.raises(UsageError, match="missing required key") as exc:
+        ExperimentConfig("nslit", params)
+    assert exc.value.key == "y_min"
 
 
 @st.composite

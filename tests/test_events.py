@@ -358,3 +358,9 @@ def test_every_outcome_probability_is_constant_time():
     elapsed = time.perf_counter() - start
     assert sum(ps) == pytest.approx(1.0, abs=1e-12)
     assert elapsed < 0.5
+
+
+def test_empty_space_names_labels():
+    with pytest.raises(UsageError, match="at least one outcome") as exc:
+        SampleSpace((), ())
+    assert exc.value.key == "labels"

@@ -190,3 +190,15 @@ def test_report_keeps_each_outcome_error():
         for lab, a in zip(space.labels, space.amplitudes):
             assert err[lab] == abs(row[lab] - a.magnitude)
         assert worst == max(err.values())
+
+
+def test_ledger_needs_a_positive_trial_count():
+    with pytest.raises(UsageError, match="total_n must be positive"):
+        TrialLedger({}, 0, 1)
+
+
+def test_convergence_report_needs_a_normalized_space():
+    doubled = SampleSpace(("h", "t"), (Amplitude(1.0, 0.0),
+                                        Amplitude(1.0, 0.0)))
+    with pytest.raises(UsageError, match="normalized space"):
+        convergence_report(doubled, [10, 100], 1)

@@ -13,10 +13,12 @@ unsorted triple, freq with a `"` inside a label, a 150-outcome coin (a
 22,500-entry `joint_table`), a 2,000-outcome freq with a `"` in one label,
 30 seeded random nslit configs, 10 seeded random sorkin configs (3-8
 slits, unsorted triples, up to 10**4 points), 10 seeded random coin
-configs (2-150 outcomes) and 10 seeded random freq configs (2-10**4
-outcomes, 2-4 stages, half with a phase); the random weights are full
-`repr` floats, about 5 % of them 0. 133 files in all. Exits 1 if any run
-fails.
+configs (2-150 outcomes), 10 seeded random freq configs (2-10**4
+outcomes, 2-4 stages, half with a phase) and 10 seeded random delayed
+configs (1-8 slits, some with `source_y` or `slit_plane_x`; half leave
+`detector_y` to its default, half give it in `_um` or `_mm`); the random
+weights are full `repr` floats, about 5 % of them 0. 143 files in all.
+Exits 1 if any run fails.
 
 To check that a change writes the same bytes as its parent commit:
 
@@ -36,7 +38,7 @@ import math
 import random
 import sys
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "tests"))
 
@@ -47,24 +49,34 @@ RANDOM_NSLIT_SEED = 2011
 RANDOM_SORKIN_SEED = 1994
 RANDOM_COIN_SEED = 1926
 RANDOM_FREQ_SEED = 1933
+RANDOM_DELAYED_SEED = 1978
+
+
+def _random_offsets(rng: random.Random, min_slits: int) -> List[float]:
+    n_slits = rng.randint(min_slits, 8)
+    spacing = rng.uniform(2e-6, 5e-5)
+    return [(i - (n_slits - 1) / 2) * spacing for i in range(n_slits)]
+
+
+def _random_geometry(rng: random.Random, experiment: str,
+                     offsets: List[float]) -> str:
+    return (f"experiment = {experiment}\n"
+            f"wavelength = {rng.uniform(4e-7, 8e-7)!r}\n"
+            f"source_x = {-rng.uniform(0.5, 2.0)!r}\n"
+            f"screen_plane_x = {rng.uniform(0.5, 2.0)!r}\n"
+            f"slit_offsets = {', '.join(map(repr, offsets))}\n")
 
 
 def _random_grid(rng: random.Random, experiment: str, min_slits: int,
                  max_points: int) -> Tuple[str, int]:
     """A random geometry and screen grid; returns the text and the number
     of slits."""
-    n_slits = rng.randint(min_slits, 8)
-    spacing = rng.uniform(2e-6, 5e-5)
-    offsets = [(i - (n_slits - 1) / 2) * spacing for i in range(n_slits)]
+    offsets = _random_offsets(rng, min_slits)
     half = rng.uniform(0.01, 0.2)
-    text = (f"experiment = {experiment}\n"
-            f"wavelength = {rng.uniform(4e-7, 8e-7)!r}\n"
-            f"source_x = {-rng.uniform(0.5, 2.0)!r}\n"
-            f"screen_plane_x = {rng.uniform(0.5, 2.0)!r}\n"
-            f"slit_offsets = {', '.join(map(repr, offsets))}\n"
-            f"y_min = {-half!r}\ny_max = {half!r}\n"
-            f"n_points = {rng.randint(2, max_points)}\n")
-    return text, n_slits
+    text = _random_geometry(rng, experiment, offsets) + (
+        f"y_min = {-half!r}\ny_max = {half!r}\n"
+        f"n_points = {rng.randint(2, max_points)}\n")
+    return text, len(offsets)
 
 
 def _random_sorkin(rng: random.Random) -> str:
@@ -80,6 +92,23 @@ def _random_nslit(rng: random.Random) -> str:
         text += f"open_slits = {', '.join(map(str, opened))}\n"
     if rng.random() < 0.25:
         text += "format = json\n"
+    return text
+
+
+def _random_delayed(rng: random.Random, unit: Optional[str]) -> str:
+    """A random delayed-choice config; with UNIT (`_um` or `_mm`) it
+    places one detector per slit, within 2 mm of the axis, in that unit,
+    and without it the detectors default to the slit offsets."""
+    offsets = _random_offsets(rng, 1)
+    text = _random_geometry(rng, "delayed", offsets)
+    if rng.random() < 0.4:
+        text += f"source_y = {rng.uniform(-1e-3, 1e-3)!r}\n"
+    if rng.random() < 0.4:
+        text += f"slit_plane_x = {rng.uniform(-0.1, 0.1)!r}\n"
+    if unit is not None:
+        scale = {"_um": 1e3, "_mm": 1.0}[unit]
+        ys = [repr(rng.uniform(-2.0, 2.0) * scale) for _ in offsets]
+        text += f"detector_y{unit} = {', '.join(ys)}\n"
     return text
 
 
@@ -149,6 +178,10 @@ def configs() -> Dict[str, str]:
     rng = random.Random(RANDOM_FREQ_SEED)
     for i in range(10):
         named[f"freq_random{i:02d}"] = _random_freq(rng)
+    rng = random.Random(RANDOM_DELAYED_SEED)
+    for i in range(10):
+        unit = (None, "_um", None, "_mm")[i % 4]
+        named[f"delayed_random{i:02d}"] = _random_delayed(rng, unit)
     return named
 
 
