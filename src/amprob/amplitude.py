@@ -27,7 +27,7 @@ def _require_finite(*values: float) -> None:
             raise DomainError(f"non-finite component: {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Amplitude:
     """Immutable complex amplitude with Cartesian storage.
 
@@ -39,7 +39,8 @@ class Amplitude:
     im: float
 
     def __post_init__(self) -> None:
-        _require_finite(self.re, self.im)
+        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+            _require_finite(self.re, self.im)
 
     @classmethod
     def from_polar(cls, magnitude: float, phase: float) -> "Amplitude":

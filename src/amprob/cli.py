@@ -18,7 +18,9 @@ import sys
 from datetime import datetime, timezone
 from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import events, frequency, slits
 from .config import (JOINT_KEY_SEP, ExperimentConfig, check_output,
@@ -45,6 +47,29 @@ def _csv_cell(text: str) -> str:
     if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+# The (sorted float64 bit patterns, texts) memo of no call
+_NO_TEXTS = (np.empty(0, np.int64), np.empty(0, object))
+
+
+def _float_texts(values: Sequence[float],
+                 known: Tuple[np.ndarray, np.ndarray] = _NO_TEXTS
+                 ) -> Tuple[List[str], Tuple[np.ndarray, np.ndarray]]:
+    """`list(map(repr, values))`, calling `repr` once per float64 bit
+    pattern (so `-0.0` and `0.0`, and NaN payloads, stay apart) that
+    `known`, the memo an earlier call returned, lacks; returns the texts
+    and this call's memo, which holds the patterns of `values` alone."""
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64)
+                              .view(np.int64), return_inverse=True)
+    known_bits, known_texts = known
+    at = known_bits.searchsorted(bits)
+    hit = at < known_bits.size
+    hit[hit] = known_bits[at[hit]] == bits[hit]
+    texts = np.empty(bits.size, dtype=object)
+    texts[hit] = known_texts[at[hit]]
+    texts[~hit] = list(map(repr, bits[~hit].view(np.float64).tolist()))
+    return texts[inverse].tolist(), (bits, texts)
 
 
 def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
@@ -93,8 +118,8 @@ def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
     }
     end = f",{peak!r}\n"
     lines = chain(["y_m,I3,peak_scale\n"],
-                  (f"{y!r},{r!r}{end}" for y, r in zip(profile.screen_points,
-                                                      residuals)))
+                  (f"{y!r},{r}{end}" for y, r in zip(
+                      profile.screen_points, _float_texts(residuals)[0])))
     return summary, lines
 
 
@@ -115,12 +140,6 @@ def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
               ) -> Tuple[Dict[str, Any], Lines]:
     report = frequency.convergence_report(space, params["schedule"],
                                           params["seed"])
-    cells = [(lab, _csv_cell(lab)) for lab in space.labels]
-    lines = chain(["N,outcome,estimate,abs_error\n"],
-                  (f"{n},{cell},{row[lab]!r},{err[lab]!r}\n"
-                   for n, row, err in zip(report.schedule, report.estimates,
-                                          report.errors)
-                   for lab, cell in cells))
     summary = {
         "generator": frequency.GENERATOR_ID,
         "seed": params["seed"],
@@ -128,7 +147,24 @@ def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
         "phase": params["phase"],
         "max_errors": list(report.max_errors),
     }
-    return summary, lines
+    return summary, chain(["N,outcome,estimate,abs_error\n"],
+                          _freq_rows(report, space.labels))
+
+
+def _freq_rows(report: frequency.ConvergenceReport,
+               labels: Sequence[str]) -> Lines:
+    """The freq CSV's rows, one stage at a time. A stage's estimates and
+    errors are formatted together, with the previous stage's texts as the
+    memo: an estimate depends only on its count, and a zero count's error
+    is the outcome's true magnitude at every stage."""
+    cells = list(map(_csv_cell, labels))
+    known = _NO_TEXTS
+    for n, row, err in zip(report.schedule, report.estimates,
+                           report.errors):
+        texts, known = _float_texts([*map(row.__getitem__, labels),
+                                     *map(err.__getitem__, labels)], known)
+        yield from map(f"{n},{{}},{{}},{{}}\n".format, cells, texts,
+                       texts[len(cells):])
 
 
 _RUNNERS = {

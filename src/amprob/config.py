@@ -14,6 +14,7 @@ feeds, so each rule lives in the domain code that owns it.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -29,6 +30,8 @@ OUTPUT_FORMATS = {"coin": ("json",), "nslit": ("csv", "json"),
 JOINT_KEY_SEP = "*"
 
 _UNIT_SUFFIXES = {"_nm": 1e-9, "_um": 1e-6, "_mm": 1e-3}
+# scalar kind -> the exact types its values may have
+_KIND_TYPES = {"float": {float, int}, "int": {int}, "str": {str}}
 
 # key -> (type, required, default); geometry block shared by the slit
 # experiments.
@@ -76,13 +79,36 @@ FIELD_REGISTRY: Dict[str, Dict[str, Tuple[str, bool, Any]]] = {
 }
 
 
+def _fields(experiment: str) -> Dict[str, Tuple[str, bool, Any]]:
+    """The experiment's registry entry; `UsageError` naming `experiment`
+    if there is none."""
+    if experiment not in FIELD_REGISTRY:
+        raise UsageError(f"unknown experiment {experiment!r}; expected one "
+                         f"of {', '.join(FIELD_REGISTRY)}", "experiment")
+    return FIELD_REGISTRY[experiment]
+
+
+def _is_kind(kind: str, value: Any) -> bool:
+    """Whether `value` has the registry `kind` as `parse_config` gives
+    it: exact types, so a bool is no int and a tuple no list; an int may
+    stand for a float, and a float must be finite."""
+    is_list = kind.endswith("_list")
+    if is_list and type(value) is not list:
+        return False
+    items = value if is_list else [value]
+    scalar = kind.removesuffix("_list")
+    return set(map(type, items)) <= _KIND_TYPES[scalar] and \
+        (scalar != "float" or all(map(math.isfinite, items)))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A checked experiment, every argument resolved. Construction copies
     `params`, fills each omitted key (`open_slits`: every slit;
     `detector_y`: the slit offsets) and builds `subject` once, the sample
-    space (coin, freq) or slit geometry the run uses; a missing or bad
-    argument raises `UsageError` naming the key."""
+    space (coin, freq) or slit geometry the run uses; an unknown
+    experiment, or a missing or bad argument (of the wrong kind
+    included), raises `UsageError` naming the key."""
 
     experiment: str
     params: Dict[str, Any]
@@ -93,14 +119,17 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         p = dict(self.params)
-        for key, (_, required, default) in \
-                FIELD_REGISTRY[self.experiment].items():
-            if key not in p:
-                if required:
-                    raise UsageError("missing required key", key)
-                if default is not None:
-                    p[key] = list(default) if isinstance(default, list) \
-                        else default
+        for key, (kind, required, default) in \
+                _fields(self.experiment).items():
+            if key in p:
+                if not _is_kind(kind, p[key]):
+                    raise UsageError(f"expected {kind}, got "
+                                     f"{reprlib.repr(p[key])}", key)
+            elif required:
+                raise UsageError("missing required key", key)
+            elif default is not None:
+                p[key] = list(default) if isinstance(default, list) \
+                    else default
         formats = OUTPUT_FORMATS[self.experiment]
         if self.format is None:
             object.__setattr__(self, "format", formats[0])
@@ -141,13 +170,12 @@ class ExperimentConfig:
 
 
 def check_output(base: str) -> Path:
-    """The output base as a path; `UsageError` naming `output` if BASE
-    names no file (`''`, `.`, `/`, `..`), since outputs append to its
-    name."""
-    path = Path(base)
-    if path.name in ("", ".."):
+    """The output base as a path; `UsageError` naming `output` if BASE is
+    no string or names no file (`''`, `.`, `/`, `..`), since outputs
+    append to its name."""
+    if type(base) is not str or Path(base).name in ("", ".."):
         raise UsageError(f"output base {base!r} names no file", "output")
-    return path
+    return Path(base)
 
 
 def _parse_scalar(kind: str, raw: str, key: str, line: int) -> Any:
@@ -214,10 +242,10 @@ def parse_config(text: str) -> ExperimentConfig:
                               key, lineno)
         lines[key] = lineno
         if key == "experiment":
-            if raw not in OUTPUT_FORMATS:
-                raise ConfigError(
-                    f"unknown experiment {raw!r}; expected one of "
-                    f"{', '.join(OUTPUT_FORMATS)}", key, lineno)
+            try:
+                _fields(raw)
+            except UsageError as exc:
+                raise ConfigError(str(exc), key, lineno) from None
             experiment = raw
         elif key == "output":
             output = raw
@@ -228,7 +256,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if experiment is None:
         raise ConfigError("missing required key", "experiment", None)
-    registry = FIELD_REGISTRY[experiment]
+    registry = _fields(experiment)
 
     params: Dict[str, Any] = {}
     for lineno, key, raw in pending:

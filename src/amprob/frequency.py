@@ -9,6 +9,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -91,7 +92,7 @@ def record_trials(space: SampleSpace, n: int, seed: int) -> TrialLedger:
     probs = probs / probs.sum()
     counts = _rng(seed).multinomial(n, probs)
     return TrialLedger(
-        counts={lab: int(c) for lab, c in zip(space.labels, counts)},
+        counts=dict(zip(space.labels, counts.tolist())),
         total_n=n,
         seed=seed,
     )
@@ -122,17 +123,19 @@ def convergence_report(space: SampleSpace, schedule: Sequence[int],
     if not space.is_normalized:
         raise UsageError("convergence_report requires a normalized space")
 
-    true_mags = {lab: a.magnitude
-                 for lab, a in zip(space.labels, space.amplitudes)}
+    labels = space.labels
+    true_mags = [a.magnitude for a in space.amplitudes]
     estimates = []
     errors = []
     for k, n in enumerate(schedule):
-        ledger = record_trials(space, n, child_seed(seed, k))
-        row = {lab: math.sqrt(ledger.counts[lab] / n)
-               for lab in space.labels}
-        estimates.append(row)
-        errors.append({lab: abs(row[lab] - true_mags[lab])
-                       for lab in space.labels})
+        counts = record_trials(space, n, child_seed(seed, k)).counts
+        # int / int true division, correctly rounded even for n > 2**53;
+        # one root per distinct count
+        roots = {c: math.sqrt(c / n) for c in set(counts.values())}
+        row = list(map(roots.__getitem__, counts.values()))
+        estimates.append(dict(zip(labels, row)))
+        errors.append(dict(zip(labels, map(abs, map(operator.sub, row,
+                                                     true_mags)))))
     return ConvergenceReport(
         schedule=tuple(schedule),
         estimates=tuple(estimates),

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -499,6 +500,69 @@ def test_freq_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch, data):
          *((n, lab, est[lab], err[lab])
            for n, est, err in zip(schedule, estimates, errors)
            for lab in labels)]).encode("utf-8")
+
+
+def from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+SIGN = st.sampled_from([0, 1 << 63])
+MANTISSA = st.integers(1, 2 ** 52 - 1)
+NANS = st.builds(lambda sign, payload: from_bits(sign | 0x7FF << 52
+                                                 | payload), SIGN, MANTISSA)
+SUBNORMALS = st.builds(lambda sign, m: from_bits(sign | m), SIGN, MANTISSA)
+FLOAT_COLUMNS = st.lists(st.one_of(st.floats(), NANS, SUBNORMALS,
+                                   st.sampled_from([-0.0, 0.0])), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FLOAT_COLUMNS, min_size=1, max_size=4))
+@example([[0.0, -0.0, 0.0], [-0.0, 5e-324, -5e-324, float("nan")],
+          [from_bits(0x7FF8000000000001), from_bits(0xFFF0000000000002)]])
+def test_float_texts_are_repr(columns):
+    known = cli._NO_TEXTS
+    for xs in columns:
+        texts, known = cli._float_texts(xs, known)
+        assert texts == list(map(repr, xs))
+        # the memo holds each bit pattern of xs once, so 0.0 and -0.0 and
+        # NaN payloads keep their own texts
+        bits = {struct.unpack("<q", struct.pack("<d", x))[0]: repr(x)
+                for x in xs}
+        assert dict(zip(known[0].tolist(), known[1].tolist())) == bits
+        assert known[0].tolist() == sorted(bits)
+
+
+def test_float_texts_call_repr_once_per_new_bit_pattern(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x),
+                        raising=False)
+    texts, known = cli._float_texts([0.5, -0.0, 0.5, 0.0, -0.0])
+    assert texts == ["0.5", "-0.0", "0.5", "0.0", "-0.0"]
+    assert len(calls) == 3
+    texts, known = cli._float_texts([0.0, 0.25, 0.5, 0.25], known)
+    assert texts == ["0.0", "0.25", "0.5", "0.25"]
+    assert calls[3:] == [0.25]
+    # the memo holds the last call's patterns only: -0.0 is formatted again
+    assert cli._float_texts([-0.0], known)[0] == ["-0.0"]
+    assert len(calls) == 5
+
+
+def test_freq_run_formats_a_zero_counts_error_once(tmp_path, monkeypatch):
+    # two outcomes too rare to be drawn: in every stage their estimates
+    # are 0.0 and their errors their true magnitudes, and the third's
+    # estimate is 1.0 with the same error each time, so only the first
+    # stage formats floats
+    calls = []
+    monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x),
+                        raising=False)
+    text = ("experiment = freq\nweights = 1e-12, 2e-12, 1\n"
+            "labels = a, b, c\nschedule = 10, 100, 1000\nseed = 4\n")
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+    assert len(rows) == 9
+    texts = {text for row in rows for text in row.split(",")[2:]}
+    assert len(calls) == len(texts) == 5
 
 
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),

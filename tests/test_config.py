@@ -237,6 +237,46 @@ def test_direct_config_names_a_missing_key():
     assert exc.value.key == "y_min"
 
 
+@pytest.mark.parametrize("experiment, key, value", [
+    ("freq", "seed", 1.5),
+    ("freq", "seed", True),
+    ("freq", "schedule", (10, 100)),
+    ("freq", "labels", ["h", 2]),
+    ("freq", "phase", float("nan")),
+    ("coin", "weights", [1.0, float("inf")]),
+    ("nslit", "n_points", "101"),
+    ("nslit", "y_max", None),
+    ("sorkin", "triple", [0, 1, 2.0]),
+    ("delayed", "detector_y", 0.0),
+])
+def test_direct_config_names_a_value_of_the_wrong_kind(experiment, key,
+                                                        value):
+    params = {**REQUIRED_PARAMS[experiment], key: value}
+    with pytest.raises(UsageError, match="expected") as exc:
+        ExperimentConfig(experiment, params)
+    assert exc.value.key == key
+
+
+def test_direct_config_takes_an_int_for_a_float():
+    params = {**REQUIRED_PARAMS["nslit"], "y_min": -1, "y_max": 1,
+              "slit_offsets": [-1e-5, 0, 1e-5]}
+    cfg = ExperimentConfig("nslit", params)
+    assert parse_config(render_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("kwargs", [{"output": 5}, {"format": ["json"]}])
+def test_direct_config_names_a_bad_output_or_format(kwargs):
+    with pytest.raises(UsageError) as exc:
+        ExperimentConfig("coin", REQUIRED_PARAMS["coin"], **kwargs)
+    assert exc.value.key == next(iter(kwargs))
+
+
+def test_direct_config_names_an_unknown_experiment():
+    with pytest.raises(UsageError, match="unknown experiment 'bogus'") as exc:
+        ExperimentConfig("bogus", {})
+    assert exc.value.key == "experiment"
+
+
 @st.composite
 def mutated_configs(draw):
     """A valid config with one line replaced, dropped, repeated or
