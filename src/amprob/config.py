@@ -1,23 +1,24 @@
 """Flat key = value experiment configuration.
 
 One `key = value` per line, `#` starts a comment, lists are comma
-separated. Lengths are SI meters; float keys also accept `_nm`, `_um` and
-`_mm` suffixed variants which are converted at parse time. Parse errors
-carry the offending key and line number.
+separated. Lengths are SI meters; length keys (`_LENGTHS`) also accept
+`_nm`, `_um` and `_mm` suffixed variants, converted at parse time. Parse
+errors carry the offending key and line number.
 
-An `ExperimentConfig` is resolved when it is constructed: it fills the
-omitted keys, builds the run's subject (its `SampleSpace` or
-`SlitGeometry`) and calls the argument checks of the kernels the run
-feeds, so each rule lives in the domain code that owns it.
+An `ExperimentConfig` is resolved when it is constructed: it alone rules
+on the experiment's keys and their value kinds, fills the omitted keys,
+builds the run's subject (its `SampleSpace` or `SlitGeometry`) and calls
+the argument checks of the kernels the run feeds, so each rule lives in
+the domain code that owns it.
 """
 
 from __future__ import annotations
 
-import math
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from . import events, frequency, slits
 from .errors import ConfigError, UsageError
@@ -32,6 +33,8 @@ JOINT_KEY_SEP = "*"
 _UNIT_SUFFIXES = {"_nm": 1e-9, "_um": 1e-6, "_mm": 1e-3}
 # scalar kind -> the exact types its values may have
 _KIND_TYPES = {"float": {float, int}, "int": {int}, "str": {str}}
+# scalar kind -> how `parse_config` reads its text
+_READERS = {"float": float, "int": lambda raw: int(raw, 10), "str": str}
 
 # key -> (type, required, default); geometry block shared by the slit
 # experiments.
@@ -43,6 +46,8 @@ _GEOMETRY_FIELDS: Dict[str, Tuple[str, bool, Any]] = {
     "screen_plane_x": ("float", True, None),
     "slit_offsets": ("float_list", True, None),
 }
+# the keys in meters, the only ones that take a unit suffix
+_LENGTHS = {*_GEOMETRY_FIELDS, "y_min", "y_max", "detector_y"}
 
 _PROFILE_FIELDS: Dict[str, Tuple[str, bool, Any]] = {
     "y_min": ("float", True, None),
@@ -79,26 +84,32 @@ FIELD_REGISTRY: Dict[str, Dict[str, Tuple[str, bool, Any]]] = {
 }
 
 
-def _fields(experiment: str) -> Dict[str, Tuple[str, bool, Any]]:
-    """The experiment's registry entry; `UsageError` naming `experiment`
-    if there is none."""
-    if experiment not in FIELD_REGISTRY:
-        raise UsageError(f"unknown experiment {experiment!r}; expected one "
-                         f"of {', '.join(FIELD_REGISTRY)}", "experiment")
-    return FIELD_REGISTRY[experiment]
+def _is_line(text: str) -> bool:
+    """Whether a config line gives back TEXT after `key = `: no `#`, no
+    line break and no surrounding blanks."""
+    return "#" not in text and len(text.splitlines()) < 2 and \
+        text == text.strip()
 
 
 def _is_kind(kind: str, value: Any) -> bool:
     """Whether `value` has the registry `kind` as `parse_config` gives
     it: exact types, so a bool is no int and a tuple no list; an int may
-    stand for a float, and a float must be finite."""
+    stand for a float, and float64 must hold each float exactly (finite,
+    and an int inside its range and precision: `10**400` is no float);
+    a str must read back from its line (a list item holds no comma)."""
     is_list = kind.endswith("_list")
     if is_list and type(value) is not list:
         return False
     items = value if is_list else [value]
     scalar = kind.removesuffix("_list")
-    return set(map(type, items)) <= _KIND_TYPES[scalar] and \
-        (scalar != "float" or all(map(math.isfinite, items)))
+    if not set(map(type, items)) <= _KIND_TYPES[scalar]:
+        return False
+    if scalar != "str":
+        return scalar == "int" or all(
+            abs(v) <= sys.float_info.max and float(v) == v for v in items)
+    text = ", ".join(items)
+    return _is_line(text) and (not is_list or
+                               [t.strip() for t in text.split(",")] == items)
 
 
 @dataclass(frozen=True)
@@ -107,7 +118,7 @@ class ExperimentConfig:
     `params`, fills each omitted key (`open_slits`: every slit;
     `detector_y`: the slit offsets) and builds `subject` once, the sample
     space (coin, freq) or slit geometry the run uses; an unknown
-    experiment, or a missing or bad argument (of the wrong kind
+    experiment or key, or a missing or bad argument (of the wrong kind
     included), raises `UsageError` naming the key."""
 
     experiment: str
@@ -118,9 +129,17 @@ class ExperimentConfig:
         init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.experiment not in FIELD_REGISTRY:
+            raise UsageError(f"unknown experiment {self.experiment!r}; "
+                             f"expected one of {', '.join(FIELD_REGISTRY)}",
+                             "experiment")
+        fields = FIELD_REGISTRY[self.experiment]
         p = dict(self.params)
-        for key, (kind, required, default) in \
-                _fields(self.experiment).items():
+        for key in p:
+            if key not in fields:
+                raise UsageError("unknown key for experiment "
+                                 f"{self.experiment!r}", key)
+        for key, (kind, required, default) in fields.items():
             if key in p:
                 if not _is_kind(kind, p[key]):
                     raise UsageError(f"expected {kind}, got "
@@ -138,6 +157,9 @@ class ExperimentConfig:
                              f"{' or '.join(formats)}", "format")
         if self.output is not None:
             check_output(self.output)
+            if not _is_line(self.output):
+                raise UsageError(f"output base {self.output!r} does not "
+                                 "read back from a config line", "output")
         if self.experiment in ("coin", "freq"):
             subject = events.classical_space(p["weights"], p["labels"])
         else:
@@ -181,33 +203,22 @@ def check_output(base: str) -> Path:
 def _parse_scalar(kind: str, raw: str, key: str, line: int) -> Any:
     raw = raw.strip()
     try:
-        if kind == "float":
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError("non-finite")
-            return value
-        if kind == "int":
-            return int(raw, 10)
-        if kind == "str":
-            return raw
+        return _READERS[kind](raw)
     except ValueError:
         raise ConfigError(f"expected {kind}, got {raw!r}", key, line) from None
-    raise AssertionError(kind)
 
 
 def _parse_value(kind: str, raw: str, key: str, line: int) -> Any:
-    if kind.endswith("_list"):
-        item_kind = kind[:-5]
-        items = [part for part in raw.split(",")]
-        if len(items) == 1 and not items[0].strip():
-            raise ConfigError("empty list", key, line)
-        return [_parse_scalar(item_kind, part, key, line) for part in items]
-    return _parse_scalar(kind, raw, key, line)
+    if not kind.endswith("_list"):
+        return _parse_scalar(kind, raw, key, line)
+    if not raw:  # `_split_lines` strips it
+        raise ConfigError("empty list", key, line)
+    return [_parse_scalar(kind[:-5], part, key, line)
+            for part in raw.split(",")]
 
 
-def _split_lines(text: str) -> List[Tuple[int, str, str]]:
+def _split_lines(text: str) -> Iterator[Tuple[int, str, str]]:
     """Yield (line_number, key, raw_value) for every assignment line."""
-    out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -215,63 +226,43 @@ def _split_lines(text: str) -> List[Tuple[int, str, str]]:
         if "=" not in stripped:
             raise ConfigError("expected 'key = value'", line=lineno)
         key, raw = stripped.split("=", 1)
-        out.append((lineno, key.strip(), raw.strip()))
-    return out
-
-
-def _resolve_unit(key: str) -> Tuple[str, float]:
-    for suffix, scale in _UNIT_SUFFIXES.items():
-        if key.endswith(suffix):
-            return key[: -len(suffix)], scale
-    return key, 1.0
+        yield lineno, key.strip(), raw.strip()
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a config document: syntax (lines, kinds, unit suffixes,
-    duplicate and unknown keys) here, the rest in `ExperimentConfig`."""
-    assignments = _split_lines(text)
+    """Parse a config document: syntax (lines, value kinds, unit suffixes
+    and duplicate keys) here, the rest in `ExperimentConfig`."""
     lines: Dict[str, int] = {}  # line of each key, raw and unit-resolved
-
-    experiment = None
-    output = None
-    fmt = None
+    named: Dict[str, str] = {}  # experiment, output and format
     pending: List[Tuple[int, str, str]] = []
-    for lineno, key, raw in assignments:
+    for lineno, key, raw in _split_lines(text):
         if key in lines:
             raise ConfigError(f"duplicate key (first at line {lines[key]})",
                               key, lineno)
         lines[key] = lineno
-        if key == "experiment":
-            try:
-                _fields(raw)
-            except UsageError as exc:
-                raise ConfigError(str(exc), key, lineno) from None
-            experiment = raw
-        elif key == "output":
-            output = raw
-        elif key == "format":
-            fmt = raw
+        if key in ("experiment", "output", "format"):
+            named[key] = raw
         else:
             pending.append((lineno, key, raw))
 
-    if experiment is None:
+    if "experiment" not in named:
         raise ConfigError("missing required key", "experiment", None)
-    registry = _fields(experiment)
+    registry = FIELD_REGISTRY.get(named["experiment"], {})
 
     params: Dict[str, Any] = {}
     for lineno, key, raw in pending:
-        base, scale = _resolve_unit(key)
-        if base not in registry:
-            raise ConfigError(f"unknown key for experiment {experiment!r}",
-                              key, lineno)
-        kind = registry[base][0]
-        if scale != 1.0 and kind not in ("float", "float_list"):
+        scale = _UNIT_SUFFIXES.get(key[-3:], 1.0)
+        base = key[:-3] if scale != 1.0 else key
+        if scale != 1.0 and base not in _LENGTHS:
             raise ConfigError("unit suffix only valid on length keys", key,
                               lineno)
+        if base not in registry:
+            params[key] = raw  # `ExperimentConfig` names the unknown key
+            continue
         if base in params:
             raise ConfigError(f"key set more than once (suffixed variants "
                               f"alias {base!r})", key, lineno)
-        value = _parse_value(kind, raw, key, lineno)
+        value = _parse_value(registry[base][0], raw, key, lineno)
         if scale != 1.0:
             value = ([v * scale for v in value] if isinstance(value, list)
                      else value * scale)
@@ -279,18 +270,15 @@ def parse_config(text: str) -> ExperimentConfig:
         lines[base] = lineno
 
     try:
-        return ExperimentConfig(experiment=experiment, params=params,
-                                output=output, format=fmt)
+        return ExperimentConfig(params=params, **named)
     except UsageError as exc:
         raise ConfigError(str(exc), exc.key, lines.get(exc.key)) from None
 
 
 def _format_value(value: Any) -> str:
-    if isinstance(value, list):
-        return ", ".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    # str of a float is its repr, which reads back as the same float
+    return ", ".join(map(str, value)) if isinstance(value, list) \
+        else str(value)
 
 
 def render_config(config: ExperimentConfig) -> str:

@@ -17,7 +17,10 @@ from .amplitude import (ONE, ZERO, Amplitude, Probability, SignedProbability,
                         born_probability)
 from .errors import DomainError, UsageError
 
+# The least distance from 1 within which a space's Born total counts as
+# normalized; `normalization_tolerance` widens it with the outcome count.
 NORMALIZATION_TOL = 1e-12
+_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
 
 
 @dataclass(frozen=True)
@@ -25,8 +28,9 @@ class SampleSpace:
     """Ordered outcomes (string labels) with one amplitude each.
 
     `born` is the read-only |A|^2 vector in outcome order, computed once
-    when the space is built, as is its total (the builtin `sum`, left to
-    right); every probability of the space reads them.
+    when the space is built, as are its total (the builtin `sum`, left to
+    right) and whether it is normalized; every probability of the space
+    reads them.
     """
 
     labels: Tuple[str, ...]
@@ -35,6 +39,7 @@ class SampleSpace:
                                           repr=False)
     _positions: Dict[str, int] = field(init=False, compare=False, repr=False)
     _total: float = field(init=False, compare=False, repr=False)
+    _normalized: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
@@ -55,6 +60,8 @@ class SampleSpace:
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "born", born)
         object.__setattr__(self, "_total", total)
+        object.__setattr__(self, "_normalized", abs(total - 1.0) <=
+                           normalization_tolerance(len(born)))
 
     def index(self, label: str) -> int:
         try:
@@ -67,7 +74,7 @@ class SampleSpace:
 
     @property
     def is_normalized(self) -> bool:
-        return _is_unit(self.total_probability())
+        return self._normalized
 
     def probabilities(self) -> Dict[str, Probability]:
         return dict(zip(self.labels, self._born(range(len(self.labels)))))
@@ -77,13 +84,22 @@ class SampleSpace:
         the space total if the space is normalized (sqrt(1/2)**2 is 0.5 +
         1 ulp; x / (x + x) is 0.5), else raw. One total per call."""
         total = self.total_probability()
-        scale = total if _is_unit(total) else 1.0  # x / 1.0 is exactly x
+        scale = total if self._normalized else 1.0  # x / 1.0 is exactly x
         born = self.born
         return [born[i] / scale for i in positions]
 
 
-def _is_unit(total: float) -> bool:
-    return abs(total - 1.0) <= NORMALIZATION_TOL
+def normalization_tolerance(n: int) -> float:
+    """How far from 1 the Born total of a normalized n-outcome space may
+    fall: gamma_k = k u / (1 - k u) for k = 2n + 10 roundings of unit
+    roundoff u (Higham, "Accuracy and Stability of Numerical Algorithms",
+    ch. 3), but never below NORMALIZATION_TOL. `classical_space` rounds
+    each term at most 4 times, its sum of weights and the Born sum n - 1
+    times each (2n + 2 in all); `normalize` rounds each term 8 times and
+    both sums n + 1 and n - 1 times, plus at most 2u from squares that
+    underflow below its rescaling threshold (2n + 10)."""
+    k = (2 * n + 10) * _UNIT_ROUNDOFF
+    return max(NORMALIZATION_TOL, k / (1.0 - k))
 
 
 @dataclass(frozen=True)
@@ -110,7 +126,7 @@ def classical_space(weights: Sequence[float],
                     labels: Sequence[str]) -> SampleSpace:
     """Build a normalized space from non-negative weights; amplitude i gets
     magnitude sqrt(w_i / sum w) at phase 0."""
-    if any(w < 0 or not math.isfinite(w) for w in weights):
+    if any(not 0 <= w <= sys.float_info.max for w in weights):
         raise UsageError("weights must be finite and non-negative", "weights")
     total = sum(weights)
     if not 0 < total < math.inf:
@@ -138,10 +154,11 @@ def normalize(space: SampleSpace) -> SampleSpace:
     """Rescale all amplitudes by one positive constant so probabilities sum
     to 1; phases are untouched."""
     total = space.total_probability()
-    if total < sys.float_info.min:
-        # |A|^2 terms below the normal range have lost their precision or
-        # underflowed to 0; scaling every amplitude by one power of two is
-        # exact and brings the largest component into [0.5, 1)
+    if total < len(space.born) * sys.float_info.min:
+        # |A|^2 terms below the normal range have lost up to 2**-1074
+        # each, more than 2u of a total under n normal minima; scaling
+        # every amplitude by one power of two is exact and brings the
+        # largest component into [0.5, 1)
         peak = max(max(abs(a.re), abs(a.im)) for a in space.amplitudes)
         if peak == 0:
             raise DomainError("cannot normalize a null amplitude assignment")

@@ -650,3 +650,35 @@ def test_one_born_term_per_outcome_per_freq_run(tmp_path, monkeypatch):
             "schedule = 10, 100, 1000, 10000\nseed = 3\n")
     assert run_cli(tmp_path, text)[0] == 0
     assert len(calls) == n
+
+
+@pytest.mark.parametrize("text, key, line", [
+    (COIN.replace("weights", "weights_mm"), "weights_mm", 2),
+    (FREQ + "phase_nm = 2\n", "phase_nm", 6),
+    (NSLIT.replace("n_points", "n_points_mm"), "n_points_mm", 8),
+    (NSLIT.replace("y_max = 0.1", f"y_max = {10 ** 400}"), "y_max", 7),
+    (COIN.replace("1, 1", f"1, {10 ** 400}"), "weights", 2),
+    (COIN + "bogus = 1\n", "bogus", 4),
+], ids=["weights_mm", "phase_nm", "n_points_mm", "float_10e400",
+        "float_list_10e400", "unknown_key"])
+def test_suffix_overflow_and_unknown_key_exit_2_naming_key_and_line(
+        tmp_path, capsys, text, key, line):
+    assert validate(tmp_path, text) == 2
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    assert capsys.readouterr().err.count(f"line {line}: key '{key}'") == 2
+    assert not out.with_suffix(".json").exists()
+
+
+def test_a_freq_of_10_to_the_5_equal_weights_validates_and_runs(tmp_path):
+    # its Born total misses 1 by 1.9e-12, past the fixed 1e-12 that once
+    # let validate pass and run fail
+    n = 10 ** 5
+    text = (f"experiment = freq\nweights = {', '.join(['1'] * n)}\n"
+            f"labels = {', '.join(f'o{i}' for i in range(n))}\n"
+            "schedule = 10, 1000\nseed = 7\n")
+    assert validate(tmp_path, text) == 0
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    assert json.loads(out.with_suffix(".json").read_text())["experiment"] \
+        == "freq"

@@ -309,3 +309,185 @@ def test_parse_fails_only_with_config_error_and_round_trips(text):
     except ConfigError:
         return
     assert parse_config(render_config(cfg)) == cfg
+
+
+def _format(value):
+    return ", ".join(map(str, value)) if isinstance(value, list) else value
+
+
+def config_text(experiment, params):
+    """PARAMS as config lines, in their order after the experiment's."""
+    return f"experiment = {experiment}\n" + "".join(
+        f"{key} = {_format(v)}\n" for key, v in params.items())
+
+
+def test_direct_config_rejects_a_misspelt_key():
+    with pytest.raises(UsageError, match="unknown key for experiment 'coin'"
+                       ) as exc:
+        ExperimentConfig("coin", {"weights": [1.0, 2.0], "labels": ["a", "b"],
+                                  "wieghts": [3.0]})
+    assert exc.value.key == "wieghts"
+
+
+# For each experiment, a key of another experiment's registry.
+FOREIGN_KEYS = {"coin": "seed", "nslit": "triple", "sorkin": "open_slits",
+                "delayed": "y_min", "freq": "wavelength"}
+
+
+@pytest.mark.parametrize("experiment", list(FIELD_REGISTRY))
+@pytest.mark.parametrize("foreign", [False, True], ids=["bogus", "foreign"])
+def test_an_unknown_key_is_named_parsed_or_built(experiment, foreign):
+    key = FOREIGN_KEYS[experiment] if foreign else "bogus"
+    params = {**REQUIRED_PARAMS[experiment], key: [3]}
+    message = f"unknown key for experiment '{experiment}'"
+    with pytest.raises(UsageError, match=message) as exc:
+        ExperimentConfig(experiment, params)
+    assert exc.value.key == key
+    with pytest.raises(ConfigError, match=message) as exc:
+        parse_config(config_text(experiment, params))
+    assert (exc.value.key, exc.value.line) == (key, len(params) + 1)
+
+
+def test_an_unknown_suffixed_length_key_is_named_with_its_suffix():
+    with pytest.raises(ConfigError, match="unknown key") as exc:
+        parse_config(COIN + "y_min_mm = 1\n")
+    assert (exc.value.key, exc.value.line) == ("y_min_mm", 4)
+
+
+@pytest.mark.parametrize("text, key, line", [
+    # a fault the parser sees comes first, whatever its line
+    ("experiment = coin\nbogus = 3\nweights = 1, spam\nlabels = a, b\n",
+     "weights", 3),
+    ("experiment = coin\nbogus = 3\nweights_mm = 1, 3\nlabels = a, b\n",
+     "weights_mm", 3),
+    # then the first unknown key, before a missing key or a bad value
+    (COIN + "bogus = 3\nphase = x\n", "bogus", 4),
+    ("experiment = coin\nbogus = 3\n", "bogus", 2),
+    ("experiment = coin\nweights = 0, 0\nlabels = a, b\nbogus = 3\n",
+     "bogus", 4),
+    # an unknown experiment before everything but the parse faults
+    ("experiment = warp\nbogus = 3\n", "experiment", 1),
+    ("experiment = warp\nweights_mm = 3\n", "weights_mm", 2),
+], ids=["bad_float_first", "suffix_first", "first_unknown", "before_missing",
+        "before_bad_value", "unknown_experiment", "suffix_before_experiment"])
+def test_which_fault_a_config_names_first(text, key, line):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert (exc.value.key, exc.value.line) == (key, line)
+
+
+# The keys in meters: the geometry block, the screen range and detectors.
+LENGTH_KEYS = {"wavelength", "source_x", "source_y", "slit_plane_x",
+               "screen_plane_x", "slit_offsets", "y_min", "y_max",
+               "detector_y"}
+SCALES = {"_nm": 1e-9, "_um": 1e-6, "_mm": 1e-3}
+
+
+@pytest.mark.parametrize("experiment, key, suffix", [
+    (experiment, key, suffix) for experiment in FIELD_REGISTRY
+    for key in FIELD_REGISTRY[experiment] for suffix in SCALES])
+def test_a_unit_suffix_is_taken_by_length_keys_only(experiment, key,
+                                                    suffix):
+    cfg = ExperimentConfig(experiment, REQUIRED_PARAMS[experiment])
+    value = cfg.params[key]
+    values = value if isinstance(value, list) else [value]
+    scale = SCALES[suffix]
+    # in the unit of the suffix, so the suffixed config is the same run
+    raw = ", ".join(repr(v / scale) if type(v) is float else str(v)
+                    for v in values)
+    lines = render_config(cfg).splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith(f"{key} ="))
+    lines[i] = f"{key}{suffix} = {raw}"
+    text = "\n".join(lines) + "\n"
+    if key not in LENGTH_KEYS:
+        with pytest.raises(ConfigError, match="unit suffix only valid on "
+                           "length keys") as exc:
+            parse_config(text)
+        assert (exc.value.key, exc.value.line) == (key + suffix, i + 1)
+        return
+    got = parse_config(text).params[key]
+    assert (got if isinstance(got, list) else [got]) == \
+        [float(part) * scale for part in raw.split(",")]
+
+
+# Each experiment's keys of a float kind, scalar and list.
+FLOAT_KEYS = [(experiment, key) for experiment in FIELD_REGISTRY
+              for key, (kind, _, _) in FIELD_REGISTRY[experiment].items()
+              if kind in ("float", "float_list")]
+
+
+@pytest.mark.parametrize("experiment, key", FLOAT_KEYS)
+def test_10_to_the_400_is_no_float_parsed_or_built(experiment, key):
+    cfg = ExperimentConfig(experiment, REQUIRED_PARAMS[experiment])
+    value = cfg.params[key]
+    big = [10 ** 400, *value[1:]] if isinstance(value, list) else 10 ** 400
+    with pytest.raises(UsageError, match="expected float") as exc:
+        ExperimentConfig(experiment, {**cfg.params, key: big})
+    assert exc.value.key == key
+    lines = render_config(cfg).splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith(f"{key} ="))
+    lines[i] = f"{key} = {_format(big)}"
+    with pytest.raises(ConfigError, match="expected float") as exc:
+        parse_config("\n".join(lines) + "\n")
+    assert (exc.value.key, exc.value.line) == (key, i + 1)
+
+
+def test_an_int_for_a_float_must_be_one_float64_holds():
+    params = dict(REQUIRED_PARAMS["coin"])
+    cfg = ExperimentConfig("coin", {**params, "weights": [2 ** 53, 1]})
+    assert parse_config(render_config(cfg)) == cfg
+    with pytest.raises(UsageError, match="expected float_list") as exc:
+        ExperimentConfig("coin", {**params, "weights": [2 ** 53 + 1, 1]})
+    assert exc.value.key == "weights"
+
+
+@pytest.mark.parametrize("labels", [["a,b", "c"], [" a", "b"], ["a", "b "],
+                                    ["a#b", "c"], ["a\nb", "c"],
+                                    ["a\x85b", "c"]])
+def test_direct_labels_must_read_back_from_a_config_line(labels):
+    with pytest.raises(UsageError, match="expected str_list") as exc:
+        ExperimentConfig("coin", {"weights": [1.0, 2.0], "labels": labels})
+    assert exc.value.key == "labels"
+
+
+@pytest.mark.parametrize("output", ["a#b", " a", "a\n", "a\nb", "a\u2028b"])
+def test_a_direct_output_must_read_back_from_a_config_line(output):
+    with pytest.raises(UsageError, match="config line") as exc:
+        ExperimentConfig("coin", REQUIRED_PARAMS["coin"], output=output)
+    assert exc.value.key == "output"
+
+
+SCALARS = st.one_of(st.floats(), st.integers(), st.text(max_size=6),
+                    st.booleans())
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4))
+
+
+@st.composite
+def built_configs(draw):
+    """An experiment, a valid config's resolved params with one value
+    replaced, one key dropped or one key added, and an output base."""
+    experiment = draw(st.sampled_from(list(REQUIRED_PARAMS)))
+    params = dict(ExperimentConfig(experiment,
+                                   REQUIRED_PARAMS[experiment]).params)
+    key = draw(st.sampled_from(sorted(params)))
+    how = draw(st.sampled_from(["value", "drop", "add"]))
+    if how == "value":
+        params[key] = draw(VALUES)
+    elif how == "drop":
+        del params[key]
+    else:
+        params[draw(st.text(max_size=12))] = draw(VALUES)
+    return experiment, params, draw(st.none() | st.text(max_size=8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(built_configs())
+def test_built_configs_fail_only_with_usage_error_and_round_trip(case):
+    experiment, params, output = case
+    try:
+        cfg = ExperimentConfig(experiment, params, output=output)
+    except UsageError:
+        return
+    assert parse_config(render_config(cfg)) == cfg

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amprob import (
@@ -20,7 +20,8 @@ from amprob import (
     outcome_probability,
     union_decomposition,
 )
-from amprob.events import NORMALIZATION_TOL
+from amprob.amplitude import born_probability
+from amprob.events import NORMALIZATION_TOL, normalization_tolerance
 
 
 def test_classical_space_examples():
@@ -364,3 +365,82 @@ def test_empty_space_names_labels():
     with pytest.raises(UsageError, match="at least one outcome") as exc:
         SampleSpace((), ())
     assert exc.value.key == "labels"
+
+
+def test_the_normalization_tolerance_grows_with_the_outcome_count():
+    # gamma_{2n+10}, never below the fixed 1e-12 it replaces
+    assert normalization_tolerance(1) == NORMALIZATION_TOL
+    assert normalization_tolerance(4_498) == NORMALIZATION_TOL
+    assert normalization_tolerance(4_499) > NORMALIZATION_TOL
+    k = (2 * 10 ** 5 + 10) * 2.0 ** -53
+    assert normalization_tolerance(10 ** 5) == pytest.approx(k, rel=1e-9)
+
+
+def test_the_normalization_verdict_reads_the_outcome_count():
+    # the same total, 1 + 1.5e-12, misses the bound of one outcome and
+    # meets that of 10**4 (2.2e-12), where zero amplitudes add nothing
+    a = Amplitude(math.sqrt(1 + 1.5e-12), 0.0)
+    assert abs(born_probability(a) - 1 - 1.5e-12) < 1e-15
+    one = SampleSpace(("a",), (a,))
+    assert not one.is_normalized
+    assert one.probabilities()["a"] == born_probability(a)  # raw
+    many = SampleSpace(tuple(f"o{i}" for i in range(10 ** 4)),
+                       (a,) + (Amplitude(0.0, 0.0),) * (10 ** 4 - 1))
+    assert many.total_probability() == one.total_probability()
+    assert many.is_normalized
+    assert many.probabilities()["o0"] == 1.0  # divided by the total
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 10 ** 5),
+       weight=st.none() | st.floats(0.0, 1e300, exclude_min=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=36_217, weight=1.0, seed=0)  # the first n past 1e-12
+@example(n=10 ** 5, weight=1.0, seed=0)
+@example(n=10 ** 5, weight=None, seed=1)
+def test_spaces_of_any_size_are_normalized(n, weight, seed):
+    # equal weights, or drawn ones (skewed, about 5 % zeros); and
+    # normalize of the same magnitudes at random phases and scale
+    rng = np.random.default_rng(seed)
+    if weight is None:
+        drawn = rng.random(n) ** rng.uniform(0.0, 8.0)
+        drawn[rng.random(n) < 0.05] = 0.0
+        drawn[0] += drawn.sum() == 0
+        weights = drawn.tolist()
+    else:
+        weights = [weight] * n
+    labels = [f"o{i}" for i in range(n)]
+    space = classical_space(weights, labels)
+    assert space.is_normalized, space.total_probability()
+    scale = 2.0 ** rng.integers(-500, 500) * rng.uniform(0.5, 2.0)
+    peak = max(weights)
+    raw = SampleSpace(tuple(labels), tuple(
+        Amplitude.from_polar(math.sqrt(w / peak) * scale, phase)
+        for w, phase in zip(weights, rng.uniform(-math.pi, math.pi, n))))
+    normalized = normalize(raw)
+    assert normalized.is_normalized, normalized.total_probability()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40))
+def test_normalize_of_any_finite_non_null_space_is_normalized(parts):
+    assume(any(re or im for re, im in parts))
+    labels = tuple(f"o{i}" for i in range(len(parts)))
+    try:
+        space = SampleSpace(labels, tuple(Amplitude(re, im)
+                                          for re, im in parts))
+    except DomainError:  # a total float64 cannot hold: no space
+        assume(False)
+    normalized = normalize(space)
+    assert normalized.is_normalized, normalized.total_probability()
+
+
+@pytest.mark.parametrize("weight", [2 ** 1100, 10 ** 400, -1, float("nan"),
+                                    float("inf")])
+def test_classical_space_rejects_a_weight_float64_cannot_hold(weight):
+    with pytest.raises(UsageError, match="finite and non-negative") as exc:
+        classical_space([weight, 1], ["a", "b"])
+    assert exc.value.key == "weights"
