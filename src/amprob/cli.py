@@ -77,7 +77,7 @@ def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
     stats = events.guess_game(space)
     summary = {
         "labels": list(space.labels),
-        "probabilities": space.probabilities(),
+        "probabilities": stats.probabilities,
         "p_correct": stats.p_correct,
         "joint_table": {f"{call}{JOINT_KEY_SEP}{fall}": p
                         for (call, fall), p in stats.joint_table.items()},

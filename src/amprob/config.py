@@ -118,7 +118,8 @@ class ExperimentConfig:
     `params`, fills each omitted key (`open_slits`: every slit;
     `detector_y`: the slit offsets) and builds `subject` once, the sample
     space (coin, freq) or slit geometry the run uses; an unknown
-    experiment or key, or a missing or bad argument (of the wrong kind
+    experiment (a name that is no str included) or key, `params` that
+    `dict` cannot read, or a missing or bad argument (of the wrong kind
     included), raises `UsageError` naming the key."""
 
     experiment: str
@@ -129,12 +130,18 @@ class ExperimentConfig:
         init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.experiment not in FIELD_REGISTRY:
+        if type(self.experiment) is not str or \
+                self.experiment not in FIELD_REGISTRY:
             raise UsageError(f"unknown experiment {self.experiment!r}; "
                              f"expected one of {', '.join(FIELD_REGISTRY)}",
                              "experiment")
         fields = FIELD_REGISTRY[self.experiment]
-        p = dict(self.params)
+        try:
+            p = dict(self.params)
+        except (TypeError, ValueError):
+            raise UsageError("params must map keys to values, got "
+                             f"{reprlib.repr(self.params)}",
+                             "params") from None
         for key in p:
             if key not in fields:
                 raise UsageError("unknown key for experiment "

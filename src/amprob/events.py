@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .amplitude import (ONE, ZERO, Amplitude, Probability, SignedProbability,
@@ -115,11 +116,16 @@ class UnionReport:
 
 @dataclass(frozen=True)
 class GuessStatistics:
-    """Joint distribution of an independent subjective call against the
-    objective outcome, plus the probability the two coincide."""
+    """An independent call against the fall, both drawn from `probabilities`:
+    the chance they coincide, and their joint table, built on first read."""
 
     p_correct: Probability
-    joint_table: Dict[Tuple[str, str], Probability]
+    probabilities: Dict[str, Probability]
+
+    @cached_property
+    def joint_table(self) -> Dict[Tuple[str, str], Probability]:
+        probs = self.probabilities
+        return {(c, f): probs[c] * probs[f] for c in probs for f in probs}
 
 
 def classical_space(weights: Sequence[float],
@@ -211,7 +217,5 @@ def guess_game(space: SampleSpace) -> GuessStatistics:
     if not space.is_normalized:
         raise UsageError("guess_game requires a normalized space")
     probs = space.probabilities()
-    joint = {(ci, fj): probs[ci] * probs[fj]
-             for ci in space.labels for fj in space.labels}
     p_correct = sum(p * p for p in probs.values())
-    return GuessStatistics(p_correct=p_correct, joint_table=joint)
+    return GuessStatistics(p_correct=p_correct, probabilities=probs)

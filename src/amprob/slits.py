@@ -160,7 +160,7 @@ def _born(amps: np.ndarray, ys: np.ndarray) -> np.ndarray:
         raise InvariantError(
             f"direct Born form {float(direct[k])!r} disagrees with pairwise "
             f"sum {float(pairwise[k])!r} at y={float(ys[k])!r}")
-    return np.maximum(direct, 0.0)
+    return direct
 
 
 def _open_list(geom: SlitGeometry, open_slits: Iterable[int],

@@ -682,3 +682,34 @@ def test_a_freq_of_10_to_the_5_equal_weights_validates_and_runs(tmp_path):
     assert code == 0
     assert json.loads(out.with_suffix(".json").read_text())["experiment"] \
         == "freq"
+
+
+def test_coin_summary_is_one_guess_game(monkeypatch):
+    space = events.classical_space([3, 0, 1.5, 2], ["a", "b", "c", "d"])
+    stats = events.guess_game(space)
+    calls = []
+    probabilities = events.SampleSpace.probabilities
+    monkeypatch.setattr(events.SampleSpace, "probabilities",
+                        lambda self: calls.append(self) or
+                        probabilities(self))
+    summary, rows = cli._run_coin(space, {})
+    assert calls == [space]  # guess_game's own call, and no other
+    assert rows is None
+    assert summary["probabilities"] == stats.probabilities
+    assert summary["p_correct"] == stats.p_correct
+    assert summary["joint_table"] == {f"{c}*{f}": p for (c, f), p
+                                      in stats.joint_table.items()}
+    assert list(summary["joint_table"]) == [
+        f"{c}*{f}" for c in space.labels for f in space.labels]
+
+
+@pytest.mark.parametrize("text, code", [(COIN, 0),
+                                        (COIN.replace("1, 1", "-1, 1"), 2)])
+def test_entry_exits_with_mains_code(tmp_path, monkeypatch, text, code):
+    cfg = tmp_path / "entry.cfg"
+    cfg.write_text(text)
+    monkeypatch.setattr(sys, "argv", ["amprob", "validate", "--config",
+                                      str(cfg)])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code

@@ -277,6 +277,22 @@ def test_direct_config_names_an_unknown_experiment():
     assert exc.value.key == "experiment"
 
 
+@pytest.mark.parametrize("name", [["coin"], {"coin"}, {"coin": 1}, None, 1],
+                         ids=["list", "set", "dict", "None", "int"])
+def test_direct_config_names_an_experiment_that_is_no_str(name):
+    with pytest.raises(UsageError, match="unknown experiment") as exc:
+        ExperimentConfig(name, {})
+    assert exc.value.key == "experiment"
+
+
+@pytest.mark.parametrize("params", [None, [1, 2], 5, [("a", 1, 2)]],
+                         ids=["None", "int_list", "int", "triple"])
+def test_direct_config_rejects_params_that_are_no_mapping(params):
+    with pytest.raises(UsageError, match="params must map keys") as exc:
+        ExperimentConfig("coin", params)
+    assert exc.value.key == "params"
+
+
 @st.composite
 def mutated_configs(draw):
     """A valid config with one line replaced, dropped, repeated or

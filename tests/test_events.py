@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from amprob import (
     Amplitude,
     DomainError,
+    GuessStatistics,
     SampleSpace,
     UsageError,
     classical_space,
@@ -444,3 +447,60 @@ def test_classical_space_rejects_a_weight_float64_cannot_hold(weight):
     with pytest.raises(UsageError, match="finite and non-negative") as exc:
         classical_space([weight, 1], ["a", "b"])
     assert exc.value.key == "weights"
+
+
+def eager_joint_table(space):
+    """The joint table built straight from the space: the reference."""
+    probs = space.probabilities()
+    return {(ci, fj): probs[ci] * probs[fj]
+            for ci in space.labels for fj in space.labels}
+
+
+def float_bits(table):
+    return [(key, p.hex()) for key, p in table.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10)), min_size=1,
+                max_size=150).filter(any))
+def test_guess_game_builds_its_joint_table_on_first_read(weights):
+    space = classical_space(weights, [f"o{i}" for i in range(len(weights))])
+    stats = guess_game(space)
+    assert "joint_table" not in vars(stats)
+    table = stats.joint_table
+    assert "joint_table" in vars(stats)
+    assert stats.joint_table is table  # built once
+    assert list(table) == list(itertools.product(space.labels, repeat=2))
+    assert float_bits(table) == float_bits(eager_joint_table(space))
+    assert stats.probabilities == space.probabilities()
+
+
+def test_guess_game_on_2000_outcomes_builds_no_table():
+    n = 2000
+    space = classical_space([1 + i % 7 for i in range(n)],
+                            [f"o{i}" for i in range(n)])
+    tracemalloc.start()
+    try:
+        stats = guess_game(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "joint_table" not in vars(stats)
+    # the n outcome probabilities, not n**2 = 4e6 table entries
+    assert peak < 2 ** 20, peak
+    assert len(stats.probabilities) == n
+    assert stats.p_correct == sum(p * p for p in space.probabilities()
+                                  .values())
+
+
+def test_guess_statistics_holds_the_probabilities_not_the_table():
+    space = classical_space([3, 1, 2], ["a", "b", "c"])
+    stats = guess_game(space)
+    assert [f.name for f in dataclasses.fields(GuessStatistics)] == \
+        ["p_correct", "probabilities"]
+    assert len(stats.joint_table) == 9  # now cached, yet not in repr
+    assert "('a', 'b')" not in repr(stats)
+    assert repr(stats) == (f"GuessStatistics(p_correct={stats.p_correct!r}, "
+                           f"probabilities={space.probabilities()!r})")
+    assert guess_game(space) == stats
+    assert dataclasses.replace(stats) == stats

@@ -23,14 +23,11 @@ configs (1-8 slits, some with `source_y` or `slit_plane_x`; half leave
 weights are full `repr` floats, about 5 % of them 0. 149 files in all.
 Exits 1 if any run fails.
 
-To check that a change writes the same bytes as its parent commit:
+To check that the working tree writes the same bytes as a commit (here
+the parent of HEAD; the default is HEAD), `tools/compare_outputs.py` runs
+this script under both trees' `src` and compares the digests:
 
-    mkdir ../amprob-parent && git archive HEAD~1 | tar -x -C ../amprob-parent
-    PYTHONPATH=../amprob-parent/src python3 tools/output_digests.py \\
-        /tmp/digests-parent > parent.txt
-    PYTHONPATH=src python3 tools/output_digests.py /tmp/digests-change \\
-        > change.txt
-    diff parent.txt change.txt && rm -r ../amprob-parent
+    python3 tools/compare_outputs.py HEAD~1
 """
 
 from __future__ import annotations
