@@ -41,6 +41,11 @@ class Amplitude:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.re) and math.isfinite(self.im)):
             _require_finite(self.re, self.im)
+        # parts are Python floats, so numpy scalars (whose arithmetic
+        # warns on overflow) go no further than here
+        if type(self.re) is not float or type(self.im) is not float:
+            object.__setattr__(self, "re", float(self.re))
+            object.__setattr__(self, "im", float(self.im))
 
     @classmethod
     def from_polar(cls, magnitude: float, phase: float) -> "Amplitude":

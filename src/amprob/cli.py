@@ -36,7 +36,7 @@ EXIT_INTERNAL = 4
 # lineterminator="\n") writes it: a float cell by repr, another by str,
 # and a string cell quoted as `_csv_cell` quotes it.
 Lines = Iterator[str]
-# CSV lines or JSON items encoded per write, so that memory stays flat
+# CSV lines joined per write, so that memory stays flat
 _ITEMS_PER_WRITE = 512
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
@@ -49,27 +49,14 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-# The (sorted float64 bit patterns, texts) memo of no call
-_NO_TEXTS = (np.empty(0, np.int64), np.empty(0, object))
-
-
-def _float_texts(values: Sequence[float],
-                 known: Tuple[np.ndarray, np.ndarray] = _NO_TEXTS
-                 ) -> Tuple[List[str], Tuple[np.ndarray, np.ndarray]]:
+def _float_texts(values: Sequence[float]) -> List[str]:
     """`list(map(repr, values))`, calling `repr` once per float64 bit
-    pattern (so `-0.0` and `0.0`, and NaN payloads, stay apart) that
-    `known`, the memo an earlier call returned, lacks; returns the texts
-    and this call's memo, which holds the patterns of `values` alone."""
+    pattern, so `-0.0` and `0.0`, and NaN payloads, keep their own texts."""
     bits, inverse = np.unique(np.asarray(values, dtype=np.float64)
                               .view(np.int64), return_inverse=True)
-    known_bits, known_texts = known
-    at = known_bits.searchsorted(bits)
-    hit = at < known_bits.size
-    hit[hit] = known_bits[at[hit]] == bits[hit]
-    texts = np.empty(bits.size, dtype=object)
-    texts[hit] = known_texts[at[hit]]
-    texts[~hit] = list(map(repr, bits[~hit].view(np.float64).tolist()))
-    return texts[inverse].tolist(), (bits, texts)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                     dtype=object)
+    return texts[inverse].tolist()
 
 
 def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
@@ -119,7 +106,7 @@ def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
     end = f",{peak!r}\n"
     lines = chain(["y_m,I3,peak_scale\n"],
                   (f"{y!r},{r}{end}" for y, r in zip(
-                      profile.screen_points, _float_texts(residuals)[0])))
+                      profile.screen_points, _float_texts(residuals))))
     return summary, lines
 
 
@@ -153,18 +140,20 @@ def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
 
 def _freq_rows(report: frequency.ConvergenceReport,
                labels: Sequence[str]) -> Lines:
-    """The freq CSV's rows, one stage at a time. A stage's estimates and
-    errors are formatted together, with the previous stage's texts as the
-    memo: an estimate depends only on its count, and a zero count's error
-    is the outcome's true magnitude at every stage."""
+    """The freq CSV's rows, one stage at a time, from one `_float_texts`
+    call over the whole table (each stage's estimates, then its errors):
+    an estimate depends only on its count, and a zero count's error is the
+    outcome's true magnitude at every stage, so texts repeat across it."""
     cells = list(map(_csv_cell, labels))
-    known = _NO_TEXTS
-    for n, row, err in zip(report.schedule, report.estimates,
-                           report.errors):
-        texts, known = _float_texts([*map(row.__getitem__, labels),
-                                     *map(err.__getitem__, labels)], known)
-        yield from map(f"{n},{{}},{{}},{{}}\n".format, cells, texts,
-                       texts[len(cells):])
+    texts = _float_texts(list(chain.from_iterable(
+        map(column.__getitem__, labels)
+        for row, err in zip(report.estimates, report.errors)
+        for column in (row, err))))
+    width = len(cells)
+    for stage, n in enumerate(report.schedule):
+        at = 2 * width * stage
+        yield from map(f"{n},{{}},{{}},{{}}\n".format, cells,
+                       texts[at:at + width], texts[at + width:at + 2 * width])
 
 
 _RUNNERS = {
@@ -179,9 +168,8 @@ _RUNNERS = {
 def _json_chunks(summary: Dict[str, Any]) -> Iterator[str]:
     """The text of `json.dumps(summary, indent=2)` in pieces, from calls to
     the C encoder (which `indent` turns off): a non-empty list or dict of
-    scalars is encoded a few hundred items at a time, with the newline and
-    indent in the item separator; anything else takes the pure-Python
-    encoder."""
+    scalars is encoded in one call, with the newline and indent in the item
+    separator; anything else takes the pure-Python encoder."""
     if not summary:
         yield "{}"
         return
@@ -193,15 +181,8 @@ def _json_chunks(summary: Dict[str, Any]) -> Iterator[str]:
         if isinstance(value, (list, dict)) and value and \
                 _JSON_SCALARS.issuperset(map(type, value.values() if is_dict
                                              else value)):
-            opener, closer = "{}" if is_dict else "[]"
-            items = iter(value.items() if is_dict else value)
-            start = f"{opener}\n    "
-            while group := list(islice(items, _ITEMS_PER_WRITE)):
-                text = json.dumps(dict(group) if is_dict else group,
-                                  separators=(",\n    ", ": "))
-                yield start + text[1:-1]
-                start = ",\n    "
-            yield f"\n  {closer}"
+            text = json.dumps(value, separators=(",\n    ", ": "))
+            yield f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
         else:
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
     yield "\n}"

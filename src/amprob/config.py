@@ -201,9 +201,11 @@ class ExperimentConfig:
 def check_output(base: str) -> Path:
     """The output base as a path; `UsageError` naming `output` if BASE is
     no string or names no file (`''`, `.`, `/`, `..`), since outputs
-    append to its name."""
+    append to its name, or holds a NUL byte, which no path can."""
     if type(base) is not str or Path(base).name in ("", ".."):
         raise UsageError(f"output base {base!r} names no file", "output")
+    if "\0" in base:
+        raise UsageError(f"output base {base!r} holds a NUL byte", "output")
     return Path(base)
 
 

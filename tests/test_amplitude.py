@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from amprob import (
     Amplitude,
     DomainError,
+    SampleSpace,
     UsageError,
     born_probability,
     combine_exclusive,
@@ -31,6 +34,17 @@ def test_non_finite_rejected():
         Amplitude(float("nan"), 0.0)
     with pytest.raises(DomainError):
         Amplitude(0.0, float("inf"))
+
+
+def test_numpy_parts_are_stored_as_floats():
+    a = Amplitude(np.float64(0.6), 1)
+    assert type(a.re) is float and type(a.im) is float
+    assert a == Amplitude(0.6, 1.0)
+    # a numpy part would overflow with numpy's RuntimeWarning when squared
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            SampleSpace(("a",), (Amplitude(np.float64(1e200), 0.0),))
 
 
 def test_born_examples():

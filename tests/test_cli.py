@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from amprob import amplitude, cli, config, events, frequency, slits
 from amprob.cli import main
+from amprob.errors import ConfigError
 
 GEOMETRY = """\
 wavelength_nm = 500
@@ -345,6 +346,19 @@ def test_output_base_without_a_name_exit_2(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
+def test_output_base_with_a_nul_byte_exit_2(tmp_path, capsys):
+    base = str(tmp_path / "nul") + "\0x"
+    text = COIN + f"output = {base}\n"
+    assert validate(tmp_path, text) == 2
+    assert "line 4: key 'output'" in capsys.readouterr().err
+    assert main(["run", "--config", str(tmp_path / "v.cfg")]) == 2
+    assert "line 4: key 'output'" in capsys.readouterr().err
+    with pytest.raises(ConfigError) as caught:
+        cli.run_experiment(config.parse_config(COIN), out="a\0b")
+    assert caught.value.key == "output"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.cfg"]
+
+
 @pytest.mark.parametrize("text, key", [
     (NSLIT.replace("y_max = 0.1", "y_max = 1e10"), "y_max"),
     (NSLIT.replace("wavelength_nm = 500", "wavelength = 1e-320"),
@@ -520,31 +534,60 @@ FLOAT_COLUMNS = st.lists(st.one_of(st.floats(), NANS, SUBNORMALS,
 @example([[0.0, -0.0, 0.0], [-0.0, 5e-324, -5e-324, float("nan")],
           [from_bits(0x7FF8000000000001), from_bits(0xFFF0000000000002)]])
 def test_float_texts_are_repr(columns):
-    known = cli._NO_TEXTS
-    for xs in columns:
-        texts, known = cli._float_texts(xs, known)
-        assert texts == list(map(repr, xs))
-        # the memo holds each bit pattern of xs once, so 0.0 and -0.0 and
-        # NaN payloads keep their own texts
-        bits = {struct.unpack("<q", struct.pack("<d", x))[0]: repr(x)
-                for x in xs}
-        assert dict(zip(known[0].tolist(), known[1].tolist())) == bits
-        assert known[0].tolist() == sorted(bits)
+    xs = [x for column in columns for x in column]
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x),
+                      raising=False)
+        texts = cli._float_texts(xs)
+    assert texts == list(map(repr, xs))
+    # one call per bit pattern of xs, so 0.0 and -0.0 and NaN payloads
+    # get their own texts
+    def bits(x):
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+    assert sorted(map(bits, calls)) == sorted(set(map(bits, xs)))
 
 
 def test_float_texts_call_repr_once_per_new_bit_pattern(monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x),
                         raising=False)
-    texts, known = cli._float_texts([0.5, -0.0, 0.5, 0.0, -0.0])
-    assert texts == ["0.5", "-0.0", "0.5", "0.0", "-0.0"]
-    assert len(calls) == 3
-    texts, known = cli._float_texts([0.0, 0.25, 0.5, 0.25], known)
-    assert texts == ["0.0", "0.25", "0.5", "0.25"]
-    assert calls[3:] == [0.25]
-    # the memo holds the last call's patterns only: -0.0 is formatted again
-    assert cli._float_texts([-0.0], known)[0] == ["-0.0"]
-    assert len(calls) == 5
+    texts = cli._float_texts([0.5, -0.0, 0.5, 0.0, -0.0, 0.25, 0.5, 0.25])
+    assert texts == ["0.5", "-0.0", "0.5", "0.0", "-0.0", "0.25", "0.5",
+                     "0.25"]
+    assert sorted(map(repr, calls)) == ["-0.0", "0.0", "0.25", "0.5"]
+    nan1, nan2 = from_bits(0x7FF8000000000001), from_bits(0xFFF8000000000002)
+    assert cli._float_texts([nan1, nan2, nan1]) == ["nan"] * 3
+    assert len(calls) == 6
+    # no call remembers another's texts: -0.0 is formatted again
+    assert cli._float_texts([-0.0]) == ["-0.0"]
+    assert len(calls) == 7
+
+
+def test_freq_rows_format_each_float_of_the_table_once(tmp_path,
+                                                       monkeypatch):
+    # 0.125 is in stages 1 and 3 but not in stage 2, so a memo of the
+    # previous stage alone would format it twice
+    calls = []
+    monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x),
+                        raising=False)
+    estimates = ({"a": 0.125, "b": 0.875}, {"a": 0.25, "b": 0.75},
+                 {"a": 0.5, "b": 0.125})
+    errors = ({"a": 0.375, "b": 0.375}, {"a": 0.25, "b": 0.25},
+              {"a": -0.0, "b": 0.0})
+    report = frequency.ConvergenceReport(
+        (8, 16, 32), estimates, errors,
+        tuple(max(err.values()) for err in errors))
+    monkeypatch.setattr(frequency, "convergence_report",
+                        lambda *args: report)
+    space = events.classical_space([1.0, 1.0], ["a", "b"])
+    params = {"schedule": [8, 16, 32], "seed": 0, "phase": 0.0}
+    text = written_csv(tmp_path, "freq", space, params).decode()
+    assert text.splitlines()[1:] == [
+        "8,a,0.125,0.375", "8,b,0.875,0.375", "16,a,0.25,0.25",
+        "16,b,0.75,0.25", "32,a,0.5,-0.0", "32,b,0.125,0.0"]
+    assert sorted(map(repr, calls)) == ["-0.0", "0.0", "0.125", "0.25",
+                                        "0.375", "0.5", "0.75", "0.875"]
 
 
 def test_freq_run_formats_a_zero_counts_error_once(tmp_path, monkeypatch):
