@@ -23,8 +23,12 @@ SignedProbability = float
 
 def _require_finite(*values: float) -> None:
     for v in values:
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite component: {v!r}")
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an int beyond float64; its repr may raise
+            raise DomainError("value beyond float64") from None
+        if not finite:
+            raise DomainError(f"non-finite value: {v!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +43,10 @@ class Amplitude:
     im: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+        try:
+            if not (math.isfinite(self.re) and math.isfinite(self.im)):
+                _require_finite(self.re, self.im)
+        except OverflowError:  # an int beyond float64
             _require_finite(self.re, self.im)
         # parts are Python floats, so numpy scalars (whose arithmetic
         # warns on overflow) go no further than here

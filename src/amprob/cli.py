@@ -2,8 +2,9 @@
 
 `amprob run --config FILE [--out BASE] [--no-timestamp]` executes the
 configured experiment and writes `BASE.json` (always) plus `BASE.csv` for
-the tabular experiments. `amprob validate --config FILE` parses only.
-`python -m amprob` (or `python -m amprob.cli`) runs the same tool.
+a tabular experiment whose format is csv. `amprob validate --config FILE`
+parses only. `python -m amprob` (or `python -m amprob.cli`) runs the same
+tool; the argument parser is built once, when this module is imported.
 
 Exit codes: 0 success, 2 configuration error (including a config that
 asks for more memory than the machine has), 3 I/O error, 4 internal
@@ -32,9 +33,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-# A tabular run's BASE.csv, one line per row, as csv.writer(fh,
-# lineterminator="\n") writes it: a float cell by repr, another by str,
-# and a string cell quoted as `_csv_cell` quotes it.
+# A tabular run's BASE.csv, header first, made as it is read: one line
+# per row as csv.writer(fh, lineterminator="\n") writes it, a float cell
+# by repr, another by str, a string cell quoted as `_csv_cell` quotes it.
 Lines = Iterator[str]
 # CSV lines joined per write, so that memory stays flat
 _ITEMS_PER_WRITE = 512
@@ -86,10 +87,9 @@ def _run_nslit(geom: slits.SlitGeometry, params: Dict[str, Any]
         "fringe_spacing_estimate_m": spacing,
         "peak_intensity": max(profile.probabilities),
     }
-    lines = chain(["y_m,probability\n"],
-                  (f"{y!r},{p!r}\n" for y, p in zip(profile.screen_points,
-                                                    profile.probabilities)))
-    return summary, lines
+    return summary, chain(["y_m,probability\n"], (
+        f"{y!r},{p!r}\n" for y, p in zip(profile.screen_points,
+                                         profile.probabilities)))
 
 
 def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
@@ -103,11 +103,16 @@ def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
         "peak_scale": peak,
         "max_abs_I3": max(map(abs, residuals)),
     }
+    return summary, _sorkin_rows(profile.screen_points, residuals, peak)
+
+
+def _sorkin_rows(ys: Sequence[float], residuals: Sequence[float],
+                 peak: float) -> Lines:
+    """The sorkin CSV's lines; the I3 texts come from one `_float_texts`
+    call, made when the first row is read."""
+    yield "y_m,I3,peak_scale\n"
     end = f",{peak!r}\n"
-    lines = chain(["y_m,I3,peak_scale\n"],
-                  (f"{y!r},{r}{end}" for y, r in zip(
-                      profile.screen_points, _float_texts(residuals))))
-    return summary, lines
+    yield from (f"{y!r},{r}{end}" for y, r in zip(ys, _float_texts(residuals)))
 
 
 def _run_delayed(geom: slits.SlitGeometry, params: Dict[str, Any]
@@ -134,8 +139,7 @@ def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
         "phase": params["phase"],
         "max_errors": list(report.max_errors),
     }
-    return summary, chain(["N,outcome,estimate,abs_error\n"],
-                          _freq_rows(report, space.labels))
+    return summary, _freq_rows(report, space.labels)
 
 
 def _freq_rows(report: frequency.ConvergenceReport,
@@ -144,6 +148,7 @@ def _freq_rows(report: frequency.ConvergenceReport,
     call over the whole table (each stage's estimates, then its errors):
     an estimate depends only on its count, and a zero count's error is the
     outcome's true magnitude at every stage, so texts repeat across it."""
+    yield "N,outcome,estimate,abs_error\n"
     cells = list(map(_csv_cell, labels))
     texts = _float_texts(list(chain.from_iterable(
         map(column.__getitem__, labels)
@@ -151,9 +156,9 @@ def _freq_rows(report: frequency.ConvergenceReport,
         for column in (row, err))))
     width = len(cells)
     for stage, n in enumerate(report.schedule):
-        at = 2 * width * stage
-        yield from map(f"{n},{{}},{{}},{{}}\n".format, cells,
-                       texts[at:at + width], texts[at + width:at + 2 * width])
+        at, head = 2 * width * stage, f"{n},"
+        yield from (f"{head}{c},{e},{r}\n" for c, e, r in zip(
+            cells, texts[at:at + width], texts[at + width:at + 2 * width]))
 
 
 _RUNNERS = {
@@ -189,11 +194,10 @@ def _json_chunks(summary: Dict[str, Any]) -> Iterator[str]:
 
 
 def _write_outputs(base: Path, summary: Dict[str, Any],
-                   lines: Optional[Lines], fmt: str,
-                   timestamp: bool) -> List[Path]:
-    """Write BASE.json, and BASE.csv when there are lines and the format is
-    csv, appending the suffix to BASE's name (so `run.v1` writes
-    `run.v1.json`); returns the paths written."""
+                   lines: Optional[Lines], timestamp: bool) -> List[Path]:
+    """Write BASE.json, and BASE.csv when handed lines, appending the
+    suffix to BASE's name (so `run.v1` writes `run.v1.json`); returns the
+    paths written."""
     if timestamp:
         summary["generated_at"] = datetime.now(timezone.utc).isoformat()
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -201,7 +205,7 @@ def _write_outputs(base: Path, summary: Dict[str, Any],
     with open(written[0], "w", encoding="utf-8", newline="") as fh:
         fh.writelines(_json_chunks(summary))
         fh.write("\n")
-    if lines is not None and fmt == "csv":
+    if lines is not None:
         written.append(base.with_name(base.name + ".csv"))
         with open(written[1], "w", encoding="utf-8", newline="") as fh:
             while chunk := "".join(islice(lines, _ITEMS_PER_WRITE)):
@@ -223,28 +227,24 @@ def run_experiment(config: ExperimentConfig, out: Optional[str] = None,
     summary, rows = _RUNNERS[config.experiment](config.subject,
                                                 config.params)
     return _write_outputs(base, {"experiment": config.experiment, **summary},
-                          rows, config.format, timestamp)
+                          rows if config.format == "csv" else None, timestamp)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="amprob",
-        description="Amplitude-based probability experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run an experiment config")
-    run.add_argument("--config", required=True, help="config file path")
-    run.add_argument("--out", help="output base path (overrides config)")
-    run.add_argument("--no-timestamp", action="store_true",
-                     help="omit the generated_at field for byte-stable output")
-
-    val = sub.add_parser("validate", help="parse and validate a config")
-    val.add_argument("--config", required=True, help="config file path")
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="amprob", description="Amplitude-based probability experiments")
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
+_RUN = _COMMANDS.add_parser("run", help="run an experiment config")
+_RUN.add_argument("--config", required=True, help="config file path")
+_RUN.add_argument("--out", help="output base path (overrides config)")
+_RUN.add_argument("--no-timestamp", action="store_true",
+                  help="omit the generated_at field for byte-stable output")
+_VALIDATE = _COMMANDS.add_parser("validate",
+                                 help="parse and validate a config")
+_VALIDATE.add_argument("--config", required=True, help="config file path")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8-sig")
     except OSError as exc:

@@ -14,14 +14,13 @@ the domain code that owns it.
 
 from __future__ import annotations
 
-import reprlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from . import events, frequency, slits
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, UsageError, shown
 
 # experiment -> the output formats it can write; the first is the default.
 OUTPUT_FORMATS = {"coin": ("json",), "nslit": ("csv", "json"),
@@ -132,7 +131,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if type(self.experiment) is not str or \
                 self.experiment not in FIELD_REGISTRY:
-            raise UsageError(f"unknown experiment {self.experiment!r}; "
+            raise UsageError(f"unknown experiment {shown(self.experiment)}; "
                              f"expected one of {', '.join(FIELD_REGISTRY)}",
                              "experiment")
         fields = FIELD_REGISTRY[self.experiment]
@@ -140,7 +139,7 @@ class ExperimentConfig:
             p = dict(self.params)
         except (TypeError, ValueError):
             raise UsageError("params must map keys to values, got "
-                             f"{reprlib.repr(self.params)}",
+                             f"{shown(self.params)}",
                              "params") from None
         for key in p:
             if key not in fields:
@@ -150,7 +149,7 @@ class ExperimentConfig:
             if key in p:
                 if not _is_kind(kind, p[key]):
                     raise UsageError(f"expected {kind}, got "
-                                     f"{reprlib.repr(p[key])}", key)
+                                     f"{shown(p[key])}", key)
             elif required:
                 raise UsageError("missing required key", key)
             elif default is not None:
@@ -203,7 +202,8 @@ def check_output(base: str) -> Path:
     no string or names no file (`''`, `.`, `/`, `..`), since outputs
     append to its name, or holds a NUL byte, which no path can."""
     if type(base) is not str or Path(base).name in ("", ".."):
-        raise UsageError(f"output base {base!r} names no file", "output")
+        raise UsageError(f"output base {shown(base)} names no file",
+                         "output")
     if "\0" in base:
         raise UsageError(f"output base {base!r} holds a NUL byte", "output")
     return Path(base)

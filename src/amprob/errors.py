@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and `shown`, the short
+repr their messages give a value."""
+
+import reprlib
 
 
 class AmprobError(Exception):
@@ -22,6 +25,19 @@ class DomainError(AmprobError, ValueError):
 
 class InvariantError(AmprobError, RuntimeError):
     """An internal cross-check failed; indicates a bug, not user error."""
+
+
+class _ShortRepr(reprlib.Repr):
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more than sys.get_int_max_str_digits() digits
+            return f"<int of {x.bit_length()} bits>"
+
+
+# `reprlib.repr`, except that an int too long for `repr` is shown by its
+# bit length, so no message raises while it names the value at fault
+shown = _ShortRepr().repr
 
 
 class ConfigError(UsageError):

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .amplitude import (ONE, ZERO, Amplitude, Probability, SignedProbability,
-                        born_probability)
+                        _require_finite, born_probability)
 from .errors import DomainError, UsageError
 
 # The least distance from 1 within which a space's Born total counts as
@@ -187,8 +187,7 @@ def union_decomposition(p1_alone: float, p2_alone: float,
     The "only" parts may be negative (extended probabilities); they are
     reported unclamped so the union identity holds exactly.
     """
-    if not all(math.isfinite(v) for v in (p1_alone, p2_alone, interference)):
-        raise DomainError("inputs must be finite")
+    _require_finite(p1_alone, p2_alone, interference)
     if p1_alone < 0 or p2_alone < 0:
         raise UsageError("stand-alone probabilities must be non-negative")
     return UnionReport(

@@ -16,7 +16,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .amplitude import Amplitude
-from .errors import UsageError
+from .errors import UsageError, shown
 from .events import SampleSpace
 
 # Recorded in outputs so regression values stay pinned to one generator.
@@ -64,8 +64,8 @@ def child_seed(seed: int, index: int) -> int:
 
 def _check_count(n: int, key: str) -> None:
     if not 1 <= n < 2 ** 63:
-        raise UsageError(f"trial count {n} is outside 1..2**63-1 (numpy "
-                         "draws int64 counts)", key)
+        raise UsageError(f"trial count {shown(n)} is outside 1..2**63-1 "
+                         "(numpy draws int64 counts)", key)
 
 
 def check_schedule(schedule: Sequence[int], seed: int) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .amplitude import (Amplitude, Probability, SignedProbability,
                         interference_term)
-from .errors import InvariantError, UsageError
+from .errors import InvariantError, UsageError, shown
 from .events import SampleSpace, classical_space
 
 DUAL_FORM_RTOL = 1e-12
@@ -40,6 +40,16 @@ class SlitGeometry:
     wavelength: float
 
     def __post_init__(self) -> None:
+        for key, values in (("wavelength", [self.wavelength]),
+                            ("source_x", self.source[:1]),
+                            ("source_y", self.source[1:]),
+                            ("slit_plane_x", [self.slit_plane_x]),
+                            ("screen_plane_x", [self.screen_plane_x]),
+                            ("slit_offsets", self.slit_offsets)):
+            try:
+                list(map(float, values))
+            except OverflowError:  # an int beyond float64
+                raise UsageError(f"{key} is beyond float64", key) from None
         if self.wavelength <= 0 or not math.isfinite(self.wavelength):
             raise UsageError("wavelength must be positive and finite",
                              "wavelength")
@@ -173,7 +183,8 @@ def _open_list(geom: SlitGeometry, open_slits: Iterable[int],
     for i in opened:
         if not 0 <= i < geom.n_slits:
             raise UsageError(
-                f"slit index {i} out of range 0..{geom.n_slits - 1}", key)
+                f"slit index {shown(i)} out of range 0..{geom.n_slits - 1}",
+                key)
     return opened
 
 

@@ -10,12 +10,14 @@ from amprob import (
     Amplitude,
     DomainError,
     SampleSpace,
+    SlitGeometry,
     UsageError,
     born_probability,
     combine_exclusive,
     combine_independent,
     conjugate,
     interference_term,
+    union_decomposition,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
@@ -45,6 +47,34 @@ def test_numpy_parts_are_stored_as_floats():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             SampleSpace(("a",), (Amplitude(np.float64(1e200), 0.0),))
+
+
+@pytest.mark.parametrize("big", [10 ** 400, 10 ** 5000],
+                         ids=["400_digits", "past_repr_limit"])
+@pytest.mark.parametrize("build, error, key", [
+    (lambda big: Amplitude(big, 0), DomainError, None),
+    (lambda big: Amplitude(0.0, -big), DomainError, None),
+    (lambda big: Amplitude.from_polar(big, 0.0), DomainError, None),
+    (lambda big: Amplitude.from_polar(1.0, big), DomainError, None),
+    (lambda big: union_decomposition(big, 0.0, 0.0), DomainError, None),
+    (lambda big: SlitGeometry((-1.0, 0.0), 0.0, (0.0,), 1.0, big),
+     UsageError, "wavelength"),
+    (lambda big: SlitGeometry((-big, 0.0), 0.0, (0.0,), 1.0, 5e-7),
+     UsageError, "source_x"),
+    (lambda big: SlitGeometry((-1.0, big), 0.0, (0.0,), 1.0, 5e-7),
+     UsageError, "source_y"),
+    (lambda big: SlitGeometry((-1.0, 0.0), 0.0, (0.0, big), 1.0, 5e-7),
+     UsageError, "slit_offsets"),
+], ids=["re", "im", "magnitude", "phase", "union", "wavelength", "source_x",
+        "source_y", "slit_offset"])
+def test_an_int_beyond_float64_raises_the_library_error(build, error, key,
+                                                        big):
+    # the message leaves the int unprinted: past 4,300 digits its repr
+    # raises ValueError
+    with pytest.raises(error, match="beyond float64") as exc:
+        build(big)
+    assert getattr(exc.value, "key", None) == key
+    assert "0000" not in str(exc.value)
 
 
 def test_born_examples():

@@ -446,8 +446,7 @@ def csv_module_text(rows):
 def written_csv(tmp_path, experiment, subject, params):
     """BASE.csv's bytes from one runner's table."""
     summary, lines = cli._RUNNERS[experiment](subject, params)
-    paths = cli._write_outputs(tmp_path / experiment, summary, lines, "csv",
-                               False)
+    paths = cli._write_outputs(tmp_path / experiment, summary, lines, False)
     return paths[1].read_bytes()
 
 
@@ -744,6 +743,27 @@ def test_coin_summary_is_one_guess_game(monkeypatch):
                                       in stats.joint_table.items()}
     assert list(summary["joint_table"]) == [
         f"{c}*{f}" for c in space.labels for f in space.labels]
+
+
+@pytest.mark.parametrize("text", [SORKIN, FREQ], ids=["sorkin", "freq"])
+def test_json_run_formats_no_csv_row(tmp_path, monkeypatch, text):
+    calls = []
+    real = cli._float_texts
+    monkeypatch.setattr(cli, "_float_texts",
+                        lambda values: calls.append(1) or real(values))
+    code, out = run_cli(tmp_path, text + "format = json\n")
+    assert code == 0 and calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.cfg",
+                                                         "cfg.json"]
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", no_parser)
+    assert validate(tmp_path, COIN) == 0
+    assert run_cli(tmp_path, COIN)[0] == 0
 
 
 @pytest.mark.parametrize("text, code", [(COIN, 0),

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amprob import ConfigError, SampleSpace, SlitGeometry, UsageError
+from amprob import (ConfigError, SampleSpace, SlitGeometry, UsageError,
+                    arrival_probability, classical_space, record_trials)
 from amprob.config import (FIELD_REGISTRY, ExperimentConfig, parse_config,
                            render_config)
 from test_acceptance import INVALID_CONFIGS, VALID_CONFIGS
@@ -24,6 +25,40 @@ y_max = 0.1
 n_points = 2001
 output = out/nslit
 """
+
+
+# more decimal digits than an int's repr may have
+HUGE_INT = 10 ** 5000
+SLIT_PARAMS = {key: value for key, value in parse_config(NSLIT).params.items()
+               if key != "open_slits"}
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: ExperimentConfig("coin", {"weights": [HUGE_INT, 1],
+                                       "labels": ["a", "b"]}), "weights"),
+    (lambda: ExperimentConfig("freq", {"weights": [1, 1], "labels": ["a", "b"],
+                                       "schedule": [HUGE_INT], "seed": 0}),
+     "schedule"),
+    (lambda: ExperimentConfig("nslit", {**SLIT_PARAMS,
+                                        "open_slits": [HUGE_INT]}),
+     "open_slits"),
+    (lambda: ExperimentConfig("sorkin", {**SLIT_PARAMS,
+                                         "triple": [0, 1, HUGE_INT]}),
+     "triple"),
+    (lambda: record_trials(classical_space([1, 1], ["a", "b"]), HUGE_INT, 0),
+     "n"),
+    (lambda: arrival_probability(ExperimentConfig("nslit", SLIT_PARAMS)
+                                 .subject, 0.0, [HUGE_INT]), "open_slits"),
+    (lambda: ExperimentConfig(HUGE_INT, {}), "experiment"),
+    (lambda: ExperimentConfig("coin", [HUGE_INT]), "params"),
+    (lambda: ExperimentConfig("coin", {"weights": [1], "labels": ["a"]},
+                              output=HUGE_INT), "output"),
+], ids=["weights", "schedule", "open_slits", "triple", "record_trials",
+        "arrival_probability", "experiment", "params", "output"])
+def test_an_int_too_long_to_print_is_named_by_its_key(build, key):
+    with pytest.raises(UsageError, match="<int of 16610 bits>") as exc:
+        build()
+    assert exc.value.key == key
 
 
 def test_minimal_coin():

@@ -11,16 +11,17 @@ acceptance criterion 11's `VALID_CONFIGS` (from `tests/test_acceptance.py`),
 nslit with `format = json`, freq with seed 2**64 - 1, freq with stages
 past 2**53 (where `count / n` must be the exact int division, not a
 division of the two counts rounded to float64), sorkin with an unsorted
-triple, nslit and sorkin configs that give every length key with a unit
-suffix, freq with a `"` inside a label, a 150-outcome coin (a
-22,500-entry `joint_table`), a 2,000-outcome freq with a `"` in one label,
+triple, the seed-2**64-1 freq and the unsorted sorkin again with
+`format = json`, nslit and sorkin configs that give every length key
+with a unit suffix, freq with a `"` inside a label, a 150-outcome coin
+(a 22,500-entry `joint_table`), a 2,000-outcome freq with a `"` in one label,
 30 seeded random nslit configs, 10 seeded random sorkin configs (3-8
 slits, unsorted triples, up to 10**4 points), 10 seeded random coin
 configs (2-150 outcomes), 10 seeded random freq configs (2-10**4
 outcomes, 2-4 stages, half with a phase) and 10 seeded random delayed
 configs (1-8 slits, some with `source_y` or `slit_plane_x`; half leave
 `detector_y` to its default, half give it in `_um` or `_mm`); the random
-weights are full `repr` floats, about 5 % of them 0. 149 files in all.
+weights are full `repr` floats, about 5 % of them 0. 151 files in all.
 Exits 1 if any run fails.
 
 To check that the working tree writes the same bytes as a commit (here
@@ -153,6 +154,8 @@ def configs() -> Dict[str, str]:
         "experiment = sorkin\nwavelength_nm = 700\nsource_x = -2.0\n"
         "screen_plane_x = 0.7\nslit_offsets_um = -12, -2, 3, 9\n"
         "y_min = -0.01\ny_max = 0.01\nn_points = 101\ntriple = 3, 0, 2\n")
+    named["freq_json"] = named["freq_max_seed"] + "format = json\n"
+    named["sorkin_json"] = named["sorkin_unsorted"] + "format = json\n"
     units = ("wavelength_nm = 632.8\nsource_x_mm = -1500\n"
              "source_y_um = 20\nslit_plane_x_mm = 3\n"
              "screen_plane_x_mm = 1200\nslit_offsets_um = -30, -10, 10, 30\n"
