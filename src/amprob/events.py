@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .amplitude import (ONE, ZERO, Amplitude, Probability, SignedProbability,
                         _require_finite, born_probability)
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, shown
 
 # The least distance from 1 within which a space's Born total counts as
 # normalized; `normalization_tolerance` widens it with the outcome count.
@@ -68,7 +68,7 @@ class SampleSpace:
         try:
             return self._positions[label]
         except (KeyError, TypeError):
-            raise UsageError(f"unknown outcome {label!r}") from None
+            raise UsageError(f"unknown outcome {shown(label)}") from None
 
     def total_probability(self) -> float:
         return self._total

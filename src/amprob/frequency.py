@@ -106,7 +106,7 @@ def amplitude_from_frequency(ledger: TrialLedger, label: str,
     estimate is consistent at every finite N.
     """
     if label not in ledger.counts:
-        raise UsageError(f"unknown outcome {label!r}")
+        raise UsageError(f"unknown outcome {shown(label)}")
     magnitude = math.sqrt(ledger.counts[label] / ledger.total_n)
     return Amplitude.from_polar(magnitude, phase)
 

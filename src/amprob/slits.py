@@ -46,10 +46,7 @@ class SlitGeometry:
                             ("slit_plane_x", [self.slit_plane_x]),
                             ("screen_plane_x", [self.screen_plane_x]),
                             ("slit_offsets", self.slit_offsets)):
-            try:
-                list(map(float, values))
-            except OverflowError:  # an int beyond float64
-                raise UsageError(f"{key} is beyond float64", key) from None
+            _floats(values, key)
         if self.wavelength <= 0 or not math.isfinite(self.wavelength):
             raise UsageError("wavelength must be positive and finite",
                              "wavelength")
@@ -110,6 +107,15 @@ class DetectionReport:
         return classical_space(per, [f"slit_{i}" for i in range(len(per))])
 
 
+def _floats(values: float | Sequence[float], key: str) -> np.ndarray:
+    """`values` as a float64 array; an int beyond float64 raises
+    `UsageError` naming `key`."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:  # an int beyond float64
+        raise UsageError(f"{key} is beyond float64", key) from None
+
+
 def _leg_cycles(geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int],
                 key: Optional[str] = None) -> List[np.ndarray]:
     """Source-leg (per slit) and screen-leg (point x slit) phases in cycles:
@@ -122,11 +128,14 @@ def _leg_cycles(geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int],
         with np.errstate(over="ignore", invalid="ignore"):
             c = b * b / (np.hypot(a, b) + a) / geom.wavelength
         worst = float(c.max(initial=0.0))
-        if not worst < 2.0 ** 52:  # fmod returns 0
+        if not worst < 2.0 ** 52:  # no fractional bits are left
             raise UsageError(f"excess path {worst:.3g} wavelengths: float64 "
                              "resolves no phase at 2**52 wavelengths or more",
                              key)
-        cycles.append(np.fmod(c, 1.0))
+        # c mod 1, exactly: c >= +0 and trunc(c) is 0 or within [c/2, c],
+        # so by Sterbenz's lemma the subtraction does not round
+        c -= np.trunc(c)
+        cycles.append(c)
     return cycles
 
 
@@ -192,6 +201,8 @@ def check_profile(geom: SlitGeometry, y_min: float, y_max: float,
                   n_points: int, open_slits: Optional[Iterable[int]] = None
                   ) -> list[int]:
     """Argument check of `intensity_profile`; returns the open slits."""
+    ends = [(key, _floats([y], key))
+            for key, y in (("y_min", y_min), ("y_max", y_max))]
     if not y_min < y_max:
         raise UsageError("y_min must be less than y_max", "y_min")
     if not 2 <= n_points <= 2 ** 53:
@@ -208,8 +219,8 @@ def check_profile(geom: SlitGeometry, y_min: float, y_max: float,
     opened = _open_list(geom, range(geom.n_slits) if open_slits is None
                         else open_slits)
     # a screen leg's excess grows with |y - offset|: the grid ends bound it
-    for key, y in (("y_min", y_min), ("y_max", y_max)):
-        _leg_cycles(geom, np.array([float(y)]), opened, key)
+    for key, end in ends:
+        _leg_cycles(geom, end, opened, key)
     return opened
 
 
@@ -225,15 +236,15 @@ def check_detectors(geom: SlitGeometry, y_detectors: Sequence[float]
     """Argument check of `delayed_choice`."""
     if len(y_detectors) != geom.n_slits:
         raise UsageError("need exactly one detector per slit", "detector_y")
-    ends = np.array([min(y_detectors), max(y_detectors)], dtype=float)
-    _leg_cycles(geom, ends, range(geom.n_slits), "detector_y")
+    _leg_cycles(geom, _floats(y_detectors, "detector_y"),
+                range(geom.n_slits), "detector_y")
 
 
 def path_amplitude(geom: SlitGeometry, slit: int, y: float) -> PathAmplitude:
     """Two-leg amplitude through one slit to screen point y; both legs have
     magnitude n_slits**-0.25 so the pair multiplies to the per-slit total
     magnitude 1 / sqrt(n_slits)."""
-    ys, opened = np.array([float(y)]), _open_list(geom, [slit])
+    ys, opened = _floats([y], "y"), _open_list(geom, [slit])
     source, screen = _leg_cycles(geom, ys, opened)
     leg = lambda c: Amplitude.from_polar(geom.n_slits ** -0.25,
                                          2.0 * math.pi * float(c))
@@ -247,13 +258,13 @@ def arrival_probability(geom: SlitGeometry, y: float,
     """Relative intensity at screen point y with the given slits open,
     cross-checked as in `_born`."""
     opened = _open_list(geom, open_slits)
-    return float(_blockwise(_born, geom, np.array([float(y)]), opened)[0])
+    return float(_blockwise(_born, geom, _floats([y], "y"), opened)[0])
 
 
 def pairwise_interference(geom: SlitGeometry, y: float, i: int,
                           j: int) -> SignedProbability:
     """Signed cross term between slits i and j at screen point y."""
-    amps = _amplitudes(geom, np.array([float(y)]), _open_list(geom, (i, j)))
+    amps = _amplitudes(geom, _floats([y], "y"), _open_list(geom, (i, j)))
     a, b = (Amplitude(z.real, z.imag) for z in amps[0].tolist())
     return interference_term(a, b)
 
@@ -278,7 +289,7 @@ def sorkin_invariant(geom: SlitGeometry, y: float | Sequence[float],
     """Third-order interference residual for three slits at screen point y,
     or at each point of a sequence y (then a tuple of floats); zero to
     rounding, as probabilities hold only self and pairwise terms."""
-    ys = np.asarray(y, dtype=float)
+    ys = _floats(y, "y")
     i3 = _sorkin_terms(geom, ys.reshape(-1), triple,
                        check_triple(geom, triple))[1]
     return float(i3[0]) if ys.ndim == 0 else tuple(i3.tolist())

@@ -12,11 +12,18 @@ from amprob import (
     SampleSpace,
     SlitGeometry,
     UsageError,
+    arrival_probability,
     born_probability,
     combine_exclusive,
     combine_independent,
     conjugate,
+    delayed_choice,
+    intensity_profile,
     interference_term,
+    pairwise_interference,
+    path_amplitude,
+    slits,
+    sorkin_invariant,
     union_decomposition,
 )
 
@@ -49,6 +56,10 @@ def test_numpy_parts_are_stored_as_floats():
             SampleSpace(("a",), (Amplitude(np.float64(1e200), 0.0),))
 
 
+GEOM = SlitGeometry((-1.0, 0.0), 0.0, (-5e-6, 5e-6), 1.0, 5e-7)
+GEOM3 = SlitGeometry((-1.0, 0.0), 0.0, (-1e-5, 0.0, 1e-5), 1.0, 5e-7)
+
+
 @pytest.mark.parametrize("big", [10 ** 400, 10 ** 5000],
                          ids=["400_digits", "past_repr_limit"])
 @pytest.mark.parametrize("build, error, key", [
@@ -65,8 +76,26 @@ def test_numpy_parts_are_stored_as_floats():
      UsageError, "source_y"),
     (lambda big: SlitGeometry((-1.0, 0.0), 0.0, (0.0, big), 1.0, 5e-7),
      UsageError, "slit_offsets"),
+    (lambda big: slits.check_profile(GEOM, -0.1, big, 11), UsageError,
+     "y_max"),
+    (lambda big: intensity_profile(GEOM, -big, 0.1, 11), UsageError,
+     "y_min"),
+    (lambda big: slits.sorkin_profile(GEOM3, -big, big, 11, (0, 1, 2)),
+     UsageError, "y_min"),
+    (lambda big: slits.check_detectors(GEOM, [0.0, big]), UsageError,
+     "detector_y"),
+    (lambda big: delayed_choice(GEOM, [-big, 0.0]), UsageError,
+     "detector_y"),
+    (lambda big: arrival_probability(GEOM, big, [0, 1]), UsageError, "y"),
+    (lambda big: path_amplitude(GEOM, 0, -big), UsageError, "y"),
+    (lambda big: pairwise_interference(GEOM, big, 0, 1), UsageError, "y"),
+    (lambda big: sorkin_invariant(GEOM3, [0.0, big], (0, 1, 2)),
+     UsageError, "y"),
 ], ids=["re", "im", "magnitude", "phase", "union", "wavelength", "source_x",
-        "source_y", "slit_offset"])
+        "source_y", "slit_offset", "check_profile", "intensity_profile",
+        "sorkin_profile", "check_detectors", "delayed_choice",
+        "arrival_probability", "path_amplitude", "pairwise_interference",
+        "sorkin_invariant"])
 def test_an_int_beyond_float64_raises_the_library_error(build, error, key,
                                                         big):
     # the message leaves the int unprinted: past 4,300 digits its repr

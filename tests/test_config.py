@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amprob import (ConfigError, SampleSpace, SlitGeometry, UsageError,
-                    arrival_probability, classical_space, record_trials)
+                    amplitude_from_frequency, arrival_probability,
+                    classical_space, event_probability, outcome_probability,
+                    record_trials)
 from amprob.config import (FIELD_REGISTRY, ExperimentConfig, parse_config,
                            render_config)
 from test_acceptance import INVALID_CONFIGS, VALID_CONFIGS
@@ -53,8 +55,17 @@ SLIT_PARAMS = {key: value for key, value in parse_config(NSLIT).params.items()
     (lambda: ExperimentConfig("coin", [HUGE_INT]), "params"),
     (lambda: ExperimentConfig("coin", {"weights": [1], "labels": ["a"]},
                               output=HUGE_INT), "output"),
+    (lambda: outcome_probability(classical_space([1, 1], ["a", "b"]),
+                                 HUGE_INT), None),
+    (lambda: event_probability(classical_space([1, 1], ["a", "b"]),
+                               ["a", HUGE_INT]), None),
+    (lambda: amplitude_from_frequency(
+        record_trials(classical_space([1, 1], ["a", "b"]), 10, 0), HUGE_INT),
+     None),
 ], ids=["weights", "schedule", "open_slits", "triple", "record_trials",
-        "arrival_probability", "experiment", "params", "output"])
+        "arrival_probability", "experiment", "params", "output",
+        "outcome_probability", "event_probability",
+        "amplitude_from_frequency"])
 def test_an_int_too_long_to_print_is_named_by_its_key(build, key):
     with pytest.raises(UsageError, match="<int of 16610 bits>") as exc:
         build()

@@ -421,12 +421,49 @@ def test_sorkin_array_equals_per_point_calls():
 
 
 def test_unresolvable_phase_rejected():
-    # past 2**52 wavelengths of excess path fmod returns only 0; the seed
-    # engine wrote a flat, meaningless profile here
+    # at 2**52 wavelengths of excess path a float64 has no fractional bits,
+    # so the phase mod 1 is 0 by fmod and by subtracting the integer part
+    # alike; the seed engine wrote a flat, meaningless profile here
     with pytest.raises(UsageError, match="2\\*\\*52"):
         intensity_profile(two_slit(), 0.0, 1e10, 3)
     with pytest.raises(UsageError):
         intensity_profile(two_slit(), 0.0, 1e300, 3)
+
+
+# float64 from +0.0 up to the largest value below 2**52, the range of
+# excess paths the kernel reduces; bit patterns cover every binade
+BELOW_2_52 = st.one_of(
+    st.floats(0.0, np.nextafter(2.0 ** 52, 0.0)),
+    st.integers(0, int(np.float64(2.0 ** 52).view(np.int64)) - 1).map(
+        lambda i: float(np.int64(i).view(np.float64))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(BELOW_2_52, min_size=1, max_size=64))
+@example([0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52,
+          np.nextafter(3.0, 0.0), 3.0, np.nextafter(3.0, 4.0),
+          2.0 ** 51 + 0.5, np.nextafter(2.0 ** 52, 0.0)])
+def test_subtracting_the_integer_part_is_fmod_bit_for_bit(xs):
+    x = np.array(xs)
+    assert np.array_equal((x - np.trunc(x)).view(np.int64),
+                          np.fmod(x, 1.0).view(np.int64))
+
+
+def test_leg_cycles_equal_an_fmod_reference_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 5, 8):
+        geom = random_geometry(rng, n)
+        # screen points up to 1e8 m out reach ~1e14 wavelengths of excess
+        ys = np.concatenate([rng.uniform(-0.1, 0.1, 500),
+                             rng.uniform(-1e8, 1e8, 20), [0.0]])
+        opened = sorted(rng.choice(n, rng.integers(1, n + 1), replace=False))
+        off = np.array([geom.slit_offsets[i] for i in opened])
+        legs = ((geom.slit_plane_x - geom.source[0], off - geom.source[1]),
+                (geom.screen_plane_x - geom.slit_plane_x, ys[:, None] - off))
+        reference = [np.fmod(b * b / (np.hypot(a, b) + a) / geom.wavelength,
+                             1.0) for a, b in legs]
+        for got, want in zip(slits._leg_cycles(geom, ys, opened), reference):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 NSLIT_CFG = """\
@@ -554,6 +591,11 @@ def test_unresolvable_phase_names_its_key_before_the_kernel_runs():
         assert exc.value.key == key
     with pytest.raises(UsageError, match="2\\*\\*52") as exc:
         slits.check_detectors(geom, [0.0, 1e10])
+    assert exc.value.key == "detector_y"
+    # a NaN detector between two others is named too
+    three = SlitGeometry((-1.0, 0.0), 0.0, (-1e-5, 0.0, 1e-5), 1.0, 5e-7)
+    with pytest.raises(UsageError) as exc:
+        slits.check_detectors(three, [-1e-5, math.nan, 1e-5])
     assert exc.value.key == "detector_y"
     # the grid ends bound every interior point: a passing check means the
     # kernel resolves each phase
