@@ -204,7 +204,7 @@ def collapse(space: SampleSpace, observed: str) -> SampleSpace:
     idx = space.index(observed)
     if space.born[idx] <= 0:
         raise DomainError(
-            f"cannot collapse onto zero-probability outcome {observed!r}")
+            f"cannot collapse onto zero-probability outcome {shown(observed)}")
     amps = tuple(ONE if i == idx else ZERO for i in range(len(space.labels)))
     return SampleSpace(space.labels, amps)
 

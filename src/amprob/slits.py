@@ -240,11 +240,24 @@ def check_detectors(geom: SlitGeometry, y_detectors: Sequence[float]
                 range(geom.n_slits), "detector_y")
 
 
+def _screen_points(geom: SlitGeometry, y: float | Sequence[float],
+                   opened: Sequence[int]) -> np.ndarray:
+    """Screen point(s) y as a float64 array, checked finite and within the
+    kernel's phase range for the `opened` slits; a fault raises
+    `UsageError` naming `y`."""
+    ys = _floats(y, "y")
+    if not np.isfinite(ys).all():
+        raise UsageError("screen point y must be finite", "y")
+    _leg_cycles(geom, ys.reshape(-1), opened, "y")
+    return ys
+
+
 def path_amplitude(geom: SlitGeometry, slit: int, y: float) -> PathAmplitude:
     """Two-leg amplitude through one slit to screen point y; both legs have
     magnitude n_slits**-0.25 so the pair multiplies to the per-slit total
     magnitude 1 / sqrt(n_slits)."""
-    ys, opened = _floats([y], "y"), _open_list(geom, [slit])
+    opened = _open_list(geom, [slit])
+    ys = _screen_points(geom, [y], opened)
     source, screen = _leg_cycles(geom, ys, opened)
     leg = lambda c: Amplitude.from_polar(geom.n_slits ** -0.25,
                                          2.0 * math.pi * float(c))
@@ -258,13 +271,15 @@ def arrival_probability(geom: SlitGeometry, y: float,
     """Relative intensity at screen point y with the given slits open,
     cross-checked as in `_born`."""
     opened = _open_list(geom, open_slits)
-    return float(_blockwise(_born, geom, _floats([y], "y"), opened)[0])
+    ys = _screen_points(geom, [y], opened)
+    return float(_blockwise(_born, geom, ys, opened)[0])
 
 
 def pairwise_interference(geom: SlitGeometry, y: float, i: int,
                           j: int) -> SignedProbability:
     """Signed cross term between slits i and j at screen point y."""
-    amps = _amplitudes(geom, _floats([y], "y"), _open_list(geom, (i, j)))
+    opened = _open_list(geom, (i, j))
+    amps = _amplitudes(geom, _screen_points(geom, [y], opened), opened)
     a, b = (Amplitude(z.real, z.imag) for z in amps[0].tolist())
     return interference_term(a, b)
 
@@ -272,14 +287,16 @@ def pairwise_interference(geom: SlitGeometry, y: float, i: int,
 def _sorkin_terms(geom: SlitGeometry, ys: np.ndarray, triple: Sequence[int],
                   opened: Sequence[int]) -> np.ndarray:
     """Rows (triple-open probability, I3) at each point of ys, from one
-    kernel pass: seven subset-open sums, taken as column subsets of one
-    amplitude matrix; `opened` is the checked triple, sorted."""
-    a, b, c = triple
+    kernel pass of `opened`, the checked triple sorted: the triple and its
+    pairs through `_born`, the singles as the block's own self terms."""
+    a, b, c = map(opened.index, triple)
 
     def terms(amps: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, ...]:
-        p = lambda *idx: _born(amps[:, sorted(map(opened.index, idx))], ys)
-        abc = p(a, b, c)
-        return abc, abc - p(a, b) - p(a, c) - p(b, c) + p(a) + p(b) + p(c)
+        abc = _born(amps, ys)
+        p = lambda i, j: _born(amps[:, [i, j]], ys)
+        q = amps.real * amps.real + amps.imag * amps.imag
+        return abc, (abc - p(a, b) - p(a, c) - p(b, c)
+                     + q[:, a] + q[:, b] + q[:, c])
 
     return _blockwise(terms, geom, ys, opened, (2,))
 
@@ -289,9 +306,9 @@ def sorkin_invariant(geom: SlitGeometry, y: float | Sequence[float],
     """Third-order interference residual for three slits at screen point y,
     or at each point of a sequence y (then a tuple of floats); zero to
     rounding, as probabilities hold only self and pairwise terms."""
-    ys = _floats(y, "y")
-    i3 = _sorkin_terms(geom, ys.reshape(-1), triple,
-                       check_triple(geom, triple))[1]
+    opened = check_triple(geom, triple)
+    ys = _screen_points(geom, y, opened)
+    i3 = _sorkin_terms(geom, ys.reshape(-1), triple, opened)[1]
     return float(i3[0]) if ys.ndim == 0 else tuple(i3.tolist())
 
 

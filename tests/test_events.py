@@ -23,7 +23,7 @@ from amprob import (
     outcome_probability,
     union_decomposition,
 )
-from amprob.amplitude import born_probability
+from amprob.amplitude import ONE, ZERO, born_probability
 from amprob.events import NORMALIZATION_TOL, normalization_tolerance
 
 
@@ -197,6 +197,12 @@ def test_collapse():
 
     with pytest.raises(DomainError):
         collapse(c, "t")
+
+
+def test_collapse_names_an_int_label_too_long_to_print():
+    space = SampleSpace((10 ** 5000, "b"), (ZERO, ONE))
+    with pytest.raises(DomainError, match="<int of 16610 bits>"):
+        collapse(space, 10 ** 5000)
 
 
 def test_guess_game_fair_coin():

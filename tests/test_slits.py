@@ -580,6 +580,80 @@ def test_delayed_choice_checks_the_dual_form(monkeypatch):
         delayed_choice(two_slit(), [-D / 2, D / 2])
 
 
+def test_sorkin_checks_the_dual_form(monkeypatch, tmp_path):
+    monkeypatch.setattr(slits, "DUAL_FORM_RTOL", -1.0)
+    geom = random_geometry(np.random.default_rng(16), 4)
+    with pytest.raises(InvariantError):
+        slits.sorkin_profile(geom, -0.02, 0.02, 11, (3, 0, 2))
+    assert run_cli(tmp_path, SORKIN_CFG) == 4
+
+
+def seven_call_sorkin_terms(geom, ys, triple, opened):
+    """Reference: one `_born` per open subset of the triple, its columns
+    in slit order."""
+    a, b, c = triple
+
+    def terms(amps, ys):
+        p = lambda *idx: slits._born(
+            amps[:, sorted(map(opened.index, idx))], ys)
+        abc = p(a, b, c)
+        return abc, abc - p(a, b) - p(a, c) - p(b, c) + p(a) + p(b) + p(c)
+
+    return slits._blockwise(terms, geom, ys, opened, (2,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 3000), st.integers(0, 2 ** 32))
+def test_sorkin_terms_equal_the_seven_call_form_bit_for_bit(n_slits,
+                                                            n_points, seed):
+    # 3000 points of three slits span three 4096-cell kernel blocks
+    rng = np.random.default_rng(seed)
+    geom = random_geometry(rng, n_slits)
+    triple = rng.choice(n_slits, size=3, replace=False).tolist()
+    ys = rng.uniform(-0.05, 0.05, n_points)
+    opened = slits.check_triple(geom, triple)
+    got = slits._sorkin_terms(geom, ys, triple, opened)
+    want = seven_call_sorkin_terms(geom, ys, triple, opened)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_sorkin_terms_take_four_born_calls_per_block(monkeypatch):
+    widths = []
+    born = slits._born
+
+    def counted(amps, ys):
+        widths.append(amps.shape[1])
+        return born(amps, ys)
+
+    monkeypatch.setattr(slits, "_born", counted)
+    geom = random_geometry(np.random.default_rng(4), 5)
+    # 3000 points of three slits make three blocks
+    slits._sorkin_terms(geom, np.linspace(-0.05, 0.05, 3000), (4, 0, 2),
+                        [0, 2, 4])
+    assert widths == [3, 2, 2, 2] * 3
+
+
+@pytest.mark.parametrize("y, match", [(math.nan, "finite"),
+                                      (math.inf, "finite"),
+                                      (-math.inf, "finite"),
+                                      (1e10, "2\\*\\*52")],
+                         ids=["nan", "inf", "-inf", "1e10"])
+@pytest.mark.parametrize("call", [
+    lambda geom, y: arrival_probability(geom, y, [0, 2]),
+    lambda geom, y: path_amplitude(geom, 1, y),
+    lambda geom, y: pairwise_interference(geom, y, 2, 0),
+    lambda geom, y: sorkin_invariant(geom, y, (2, 0, 1)),
+    lambda geom, y: sorkin_invariant(geom, [0.0, y, 0.01], (2, 0, 1)),
+], ids=["arrival_probability", "path_amplitude", "pairwise_interference",
+        "sorkin_invariant", "sorkin_invariant_sequence"])
+def test_a_bad_screen_point_is_named_by_y(call, y, match):
+    geom = SlitGeometry((-1.0, 0.0), 0.0, (-1e-5, 0.0, 1e-5), 1.0,
+                        WAVELENGTH)
+    with pytest.raises(UsageError, match=match) as exc:
+        call(geom, y)
+    assert exc.value.key == "y"
+
+
 def test_unresolvable_phase_names_its_key_before_the_kernel_runs():
     with pytest.raises(UsageError, match="2\\*\\*52") as exc:
         two_slit(wavelength=1e-320)
