@@ -63,12 +63,14 @@ def _float_texts(values: Sequence[float]) -> List[str]:
 def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
               ) -> Tuple[Dict[str, Any], None]:
     stats = events.guess_game(space)
+    probs = stats.probabilities.items()
     summary = {
         "labels": list(space.labels),
         "probabilities": stats.probabilities,
         "p_correct": stats.p_correct,
-        "joint_table": {f"{call}{JOINT_KEY_SEP}{fall}": p
-                        for (call, fall), p in stats.joint_table.items()},
+        # the products of GuessStatistics' joint table, in its key order
+        "joint_table": {f"{call}{JOINT_KEY_SEP}{fall}": p_call * p_fall
+                        for call, p_call in probs for fall, p_fall in probs},
     }
     return summary, None
 
@@ -144,16 +146,14 @@ def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
 
 def _freq_rows(report: frequency.ConvergenceReport,
                labels: Sequence[str]) -> Lines:
-    """The freq CSV's rows, one stage at a time, from one `_float_texts`
-    call over the whole table (each stage's estimates, then its errors):
-    an estimate depends only on its count, and a zero count's error is the
-    outcome's true magnitude at every stage, so texts repeat across it."""
+    """The freq CSV's rows, outcomes in `labels` order, stage by stage, from
+    one `_float_texts` call over the whole table (each stage's estimates,
+    then its errors): an estimate depends only on its count, and a zero
+    count's error is its true magnitude at every stage, so texts repeat."""
     yield "N,outcome,estimate,abs_error\n"
     cells = list(map(_csv_cell, labels))
-    texts = _float_texts(list(chain.from_iterable(
-        map(column.__getitem__, labels)
-        for row, err in zip(report.estimates, report.errors)
-        for column in (row, err))))
+    texts = _float_texts(list(chain.from_iterable(chain.from_iterable(
+        zip(report.estimates, report.errors)))))
     width = len(cells)
     for stage, n in enumerate(report.schedule):
         at, head = 2 * width * stage, f"{n},"

@@ -49,6 +49,8 @@ class SampleSpace:
         if len(self.labels) != len(self.amplitudes):
             raise UsageError("labels and amplitudes must have equal length",
                              "labels")
+        if set(map(type, self.labels)) != {str}:
+            raise UsageError("outcome labels must be str", "labels")
         positions = dict(zip(self.labels, range(len(self.labels))))
         if not all(self.labels) or len(positions) != len(self.labels):
             raise UsageError("outcome labels must be non-empty and distinct",

@@ -40,12 +40,12 @@ class TrialLedger:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Estimated magnitudes along a trial schedule, each outcome's absolute
-    error against its true magnitude, and each stage's worst error."""
+    """Per stage of a trial schedule: each outcome's estimated magnitude and
+    its absolute error, in the space's outcome order, and the worst error."""
 
     schedule: Tuple[int, ...]
-    estimates: Tuple[Dict[str, float], ...]
-    errors: Tuple[Dict[str, float], ...]
+    estimates: Tuple[Tuple[float, ...], ...]
+    errors: Tuple[Tuple[float, ...], ...]
     max_errors: Tuple[float, ...]
 
 
@@ -88,9 +88,9 @@ def record_trials(space: SampleSpace, n: int, seed: int) -> TrialLedger:
     _check_count(n, "n")
     if not space.is_normalized:
         raise UsageError("record_trials requires a normalized space")
-    probs = np.array(space.born)
-    probs = probs / probs.sum()
-    counts = _rng(seed).multinomial(n, probs)
+    born = np.array(space.born)
+    # numpy's sum, not SampleSpace._born: that redraws freq_2000_quote's counts
+    counts = _rng(seed).multinomial(n, born / born.sum())
     return TrialLedger(
         counts=dict(zip(space.labels, counts.tolist())),
         total_n=n,
@@ -123,7 +123,6 @@ def convergence_report(space: SampleSpace, schedule: Sequence[int],
     if not space.is_normalized:
         raise UsageError("convergence_report requires a normalized space")
 
-    labels = space.labels
     true_mags = [a.magnitude for a in space.amplitudes]
     estimates = []
     errors = []
@@ -132,13 +131,12 @@ def convergence_report(space: SampleSpace, schedule: Sequence[int],
         # int / int true division, correctly rounded even for n > 2**53;
         # one root per distinct count
         roots = {c: math.sqrt(c / n) for c in set(counts.values())}
-        row = list(map(roots.__getitem__, counts.values()))
-        estimates.append(dict(zip(labels, row)))
-        errors.append(dict(zip(labels, map(abs, map(operator.sub, row,
-                                                     true_mags)))))
+        row = tuple(map(roots.__getitem__, counts.values()))
+        estimates.append(row)
+        errors.append(tuple(map(abs, map(operator.sub, row, true_mags))))
     return ConvergenceReport(
         schedule=tuple(schedule),
         estimates=tuple(estimates),
         errors=tuple(errors),
-        max_errors=tuple(max(err.values()) for err in errors),
+        max_errors=tuple(map(max, errors)),
     )

@@ -267,7 +267,7 @@ def test_criterion_10_frequency_convergence():
     schedule = [100, 10 ** 4, 10 ** 6]
     seed = 92  # pinned; exact sqrt round trip holds for every count drawn
     report = convergence_report(fair, schedule, seed=seed)
-    err = abs(report.estimates[-1]["h"] - 1 / math.sqrt(2))
+    err = abs(report.estimates[-1][0] - 1 / math.sqrt(2))  # outcome "h"
     exact = True
     for k, n in enumerate(schedule):
         ledger = record_trials(fair, n, child_seed(seed, k))

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import random
+import runpy
 import struct
 import subprocess
 import sys
@@ -307,11 +309,10 @@ def test_freq_table_errors_are_the_report_errors(tmp_path):
     report = frequency.convergence_report(
         events.classical_space([3, 1], ["h", "t"]), [100, 10000, 1000000], 0)
     rows = list(csv.reader(out.with_suffix(".csv").open()))[1:]
-    assert [r[3] for r in rows] == [repr(err[lab]) for err in report.errors
-                                    for lab in ("h", "t")]
+    assert [r[3] for r in rows] == [repr(e) for err in report.errors
+                                    for e in err]
     summary = json.loads(out.with_suffix(".json").read_text())
-    assert summary["max_errors"] == [max(err.values())
-                                     for err in report.errors]
+    assert summary["max_errors"] == [max(err) for err in report.errors]
 
 
 def test_freq_phase_is_echoed_and_changes_no_estimate(tmp_path):
@@ -393,6 +394,23 @@ def test_cli_runs_as_a_module(tmp_path, module):
     failed = validate_with(bad)
     assert failed.returncode == 2
     assert "key 'weights'" in failed.stderr
+
+
+@pytest.mark.parametrize("module", ["amprob", "amprob.cli"])
+def test_cli_runs_as_a_module_in_process(tmp_path, monkeypatch, capsys,
+                                         module):
+    # the same entry points in this process, so line tracers see them;
+    # runpy warns when a module it runs as __main__ is already imported
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text(COIN)
+    if module == "amprob.cli":
+        monkeypatch.delitem(sys.modules, module)
+    monkeypatch.setattr(sys, "argv", ["amprob", "validate", "--config",
+                                      str(cfg)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "ok: coin config is valid\n"
 
 
 NSLIT_5E_324 = NSLIT.replace("y_min = -0.1\ny_max = 0.1\nn_points = 2001",
@@ -498,21 +516,25 @@ def test_freq_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch, data):
                                 unique=True))
     schedule = data.draw(st.lists(st.integers(1, 2 ** 63 - 1), min_size=1,
                                   max_size=3))
-    stage = st.fixed_dictionaries({lab: CSV_FLOATS for lab in labels})
+    stage = st.tuples(*[CSV_FLOATS] * len(labels))
     estimates = [data.draw(stage) for _ in schedule]
     errors = [data.draw(stage) for _ in schedule]
     report = frequency.ConvergenceReport(
         tuple(schedule), tuple(estimates), tuple(errors),
-        tuple(max(err.values()) for err in errors))
+        tuple(map(max, errors)))
     monkeypatch.setattr(frequency, "convergence_report",
                         lambda *args: report)
     space = events.classical_space([1.0] * len(labels), labels)
     params = {"schedule": schedule, "seed": 0, "phase": 0.0}
     assert written_csv(tmp_path, "freq", space, params) == csv_module_text(
         [("N", "outcome", "estimate", "abs_error"),
-         *((n, lab, est[lab], err[lab])
+         *((n, lab, e, r)
            for n, est, err in zip(schedule, estimates, errors)
-           for lab in labels)]).encode("utf-8")
+           for lab, e, r in zip(labels, est, err))]).encode("utf-8")
+
+
+def float_bits(values):
+    return [struct.unpack("<Q", struct.pack("<d", x))[0] for x in values]
 
 
 def from_bits(bits):
@@ -570,13 +592,10 @@ def test_freq_rows_format_each_float_of_the_table_once(tmp_path,
     calls = []
     monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x),
                         raising=False)
-    estimates = ({"a": 0.125, "b": 0.875}, {"a": 0.25, "b": 0.75},
-                 {"a": 0.5, "b": 0.125})
-    errors = ({"a": 0.375, "b": 0.375}, {"a": 0.25, "b": 0.25},
-              {"a": -0.0, "b": 0.0})
+    estimates = ((0.125, 0.875), (0.25, 0.75), (0.5, 0.125))
+    errors = ((0.375, 0.375), (0.25, 0.25), (-0.0, 0.0))
     report = frequency.ConvergenceReport(
-        (8, 16, 32), estimates, errors,
-        tuple(max(err.values()) for err in errors))
+        (8, 16, 32), estimates, errors, tuple(map(max, errors)))
     monkeypatch.setattr(frequency, "convergence_report",
                         lambda *args: report)
     space = events.classical_space([1.0, 1.0], ["a", "b"])
@@ -727,22 +746,35 @@ def test_a_freq_of_10_to_the_5_equal_weights_validates_and_runs(tmp_path):
 
 
 def test_coin_summary_is_one_guess_game(monkeypatch):
-    space = events.classical_space([3, 0, 1.5, 2], ["a", "b", "c", "d"])
-    stats = events.guess_game(space)
-    calls = []
+    rng = random.Random(150)
+    weights = [0.0 if rng.random() < 0.05 else rng.random()
+               for _ in range(150)]
     probabilities = events.SampleSpace.probabilities
-    monkeypatch.setattr(events.SampleSpace, "probabilities",
-                        lambda self: calls.append(self) or
-                        probabilities(self))
-    summary, rows = cli._run_coin(space, {})
-    assert calls == [space]  # guess_game's own call, and no other
-    assert rows is None
-    assert summary["probabilities"] == stats.probabilities
-    assert summary["p_correct"] == stats.p_correct
-    assert summary["joint_table"] == {f"{c}*{f}": p for (c, f), p
-                                      in stats.joint_table.items()}
-    assert list(summary["joint_table"]) == [
-        f"{c}*{f}" for c in space.labels for f in space.labels]
+
+    def never_read(self):
+        raise AssertionError("the coin runner read joint_table")
+
+    for space in (events.classical_space([3, 0, 1.5, 2], list("abcd")),
+                  events.classical_space(weights,
+                                         [f"o{i}" for i in range(150)])):
+        stats = events.guess_game(space)
+        table = {f"{c}*{f}": p for (c, f), p in stats.joint_table.items()}
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(events.SampleSpace, "probabilities",
+                          lambda self: calls.append(self) or
+                          probabilities(self))
+            patch.setattr(events.GuessStatistics, "joint_table",
+                          property(never_read))
+            summary, rows = cli._run_coin(space, {})
+        assert calls == [space]  # guess_game's own call, and no other
+        assert rows is None
+        assert summary["probabilities"] == stats.probabilities
+        assert summary["p_correct"] == stats.p_correct
+        assert list(summary["joint_table"]) == list(table) == [
+            f"{c}*{f}" for c in space.labels for f in space.labels]
+        assert float_bits(summary["joint_table"].values()) == \
+            float_bits(table.values())
 
 
 @pytest.mark.parametrize("text", [SORKIN, FREQ], ids=["sorkin", "freq"])

@@ -115,7 +115,7 @@ def test_convergence_report_fair_coin():
     assert len(report.estimates) == 3
     assert report.max_errors[2] <= 0.002
     for row in report.estimates:
-        assert set(row) == {"h", "t"}
+        assert len(row) == len(FAIR.labels)
 
 
 def test_convergence_report_deterministic_space():
@@ -186,10 +186,35 @@ def test_report_keeps_each_outcome_error():
     assert len(report.errors) == len(report.schedule)
     for row, err, worst in zip(report.estimates, report.errors,
                                report.max_errors):
-        assert list(err) == list(space.labels)
-        for lab, a in zip(space.labels, space.amplitudes):
-            assert err[lab] == abs(row[lab] - a.magnitude)
-        assert worst == max(err.values())
+        assert len(row) == len(err) == len(space.labels)
+        for e, r, a in zip(row, err, space.amplitudes):
+            assert r == abs(e - a.magnitude)
+        assert worst == max(err)
+
+
+@st.composite
+def weighted_spaces(draw):
+    weights = draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=30))
+    weights[draw(st.integers(0, len(weights) - 1))] += 1.0
+    return classical_space(weights, [f"o{i}" for i in range(len(weights))])
+
+
+@given(weighted_spaces(),
+       st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=4, unique=True),
+       st.integers(0, 2 ** 64 - 1))
+def test_report_rows_follow_the_outcome_order(space, schedule, seed):
+    schedule = sorted(schedule)
+    report = convergence_report(space, schedule, seed)
+    assert len(report.estimates) == len(report.errors) == len(schedule)
+    for k, (n, row, err) in enumerate(zip(schedule, report.estimates,
+                                          report.errors)):
+        counts = record_trials(space, n, child_seed(seed, k)).counts
+        assert len(row) == len(err) == len(space.labels)
+        for i, (label, amp) in enumerate(zip(space.labels,
+                                             space.amplitudes)):
+            assert row[i] == math.sqrt(counts[label] / n)
+            assert err[i] == abs(row[i] - amp.magnitude)
+    assert report.max_errors == tuple(map(max, report.errors))
 
 
 def test_ledger_needs_a_positive_trial_count():
