@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -32,8 +33,8 @@ JOINT_KEY_SEP = "*"
 _UNIT_SUFFIXES = {"_nm": 1e-9, "_um": 1e-6, "_mm": 1e-3}
 # scalar kind -> the exact types its values may have
 _KIND_TYPES = {"float": {float, int}, "int": {int}, "str": {str}}
-# scalar kind -> how `parse_config` reads its text
-_READERS = {"float": float, "int": lambda raw: int(raw, 10), "str": str}
+# scalar kind -> how `parse_config` reads its text, blanks around it ignored
+_READERS = {"float": float, "int": partial(int, base=10), "str": str.strip}
 
 # key -> (type, required, default); geometry block shared by the slit
 # experiments.
@@ -108,7 +109,7 @@ def _is_kind(kind: str, value: Any) -> bool:
             abs(v) <= sys.float_info.max and float(v) == v for v in items)
     text = ", ".join(items)
     return _is_line(text) and (not is_list or
-                               [t.strip() for t in text.split(",")] == items)
+                               list(map(str.strip, text.split(","))) == items)
 
 
 @dataclass(frozen=True)
@@ -210,11 +211,11 @@ def check_output(base: str) -> Path:
 
 
 def _parse_scalar(kind: str, raw: str, key: str, line: int) -> Any:
-    raw = raw.strip()
     try:
         return _READERS[kind](raw)
     except ValueError:
-        raise ConfigError(f"expected {kind}, got {raw!r}", key, line) from None
+        raise ConfigError(f"expected {kind}, got {raw.strip()!r}", key,
+                          line) from None
 
 
 def _parse_value(kind: str, raw: str, key: str, line: int) -> Any:
@@ -222,8 +223,11 @@ def _parse_value(kind: str, raw: str, key: str, line: int) -> Any:
         return _parse_scalar(kind, raw, key, line)
     if not raw:  # `_split_lines` strips it
         raise ConfigError("empty list", key, line)
-    return [_parse_scalar(kind[:-5], part, key, line)
-            for part in raw.split(",")]
+    scalar, parts = kind[:-5], raw.split(",")
+    try:
+        return list(map(_READERS[scalar], parts))
+    except ValueError:  # item by item, to name the first bad one
+        return [_parse_scalar(scalar, part, key, line) for part in parts]
 
 
 def _split_lines(text: str) -> Iterator[Tuple[int, str, str]]:

@@ -9,10 +9,14 @@ the amplitudes carry.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .amplitude import (ONE, ZERO, Amplitude, Probability, SignedProbability,
                         _require_finite, born_probability)
@@ -31,7 +35,11 @@ class SampleSpace:
     `born` is the read-only |A|^2 vector in outcome order, computed once
     when the space is built, as are its total (the builtin `sum`, left to
     right) and whether it is normalized; every probability of the space
-    reads them.
+    reads them. `magnitudes` is the read-only |A| vector (a numpy array),
+    made on first read. A space from `classical_space` starts from its
+    magnitudes and makes its `amplitudes` tuple when first read; it
+    equals, hashes and prints as the space `SampleSpace(labels,
+    amplitudes)` builds.
     """
 
     labels: Tuple[str, ...]
@@ -41,12 +49,42 @@ class SampleSpace:
     _positions: Dict[str, int] = field(init=False, compare=False, repr=False)
     _total: float = field(init=False, compare=False, repr=False)
     _normalized: bool = field(init=False, compare=False, repr=False)
+    _magnitudes: Optional[np.ndarray] = field(default=None, init=False,
+                                              compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._settle(len(self.amplitudes),
+                     map(born_probability, self.amplitudes))
+
+    @classmethod
+    def _phase_zero(cls, labels: Tuple[str, ...],
+                    magnitudes: np.ndarray) -> SampleSpace:
+        """The space of amplitudes `magnitudes` at phase 0, which are made
+        when first read; |A|^2 is m*m, as re*re + im*im is at im = 0."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "labels", labels)
+        magnitudes.flags.writeable = False
+        object.__setattr__(space, "_magnitudes", magnitudes)
+        space._settle(len(magnitudes), (magnitudes * magnitudes).tolist())
+        return space
+
+    @property
+    def magnitudes(self) -> np.ndarray:
+        """|A| of each outcome in outcome order, read-only."""
+        if self._magnitudes is None:  # a space built from its amplitudes
+            mags = np.array([a.magnitude for a in self.amplitudes])
+            mags.flags.writeable = False
+            object.__setattr__(self, "_magnitudes", mags)
+        return self._magnitudes
+
+    def _settle(self, n_amplitudes: int, born: Iterable[Probability]
+                ) -> None:
+        """Check the labels against `n_amplitudes`, then keep the |A|^2
+        vector `born`, its total and the normalisation verdict."""
         if len(self.labels) == 0:
             raise UsageError("sample space needs at least one outcome",
                              "labels")
-        if len(self.labels) != len(self.amplitudes):
+        if len(self.labels) != n_amplitudes:
             raise UsageError("labels and amplitudes must have equal length",
                              "labels")
         if set(map(type, self.labels)) != {str}:
@@ -55,7 +93,7 @@ class SampleSpace:
         if not all(self.labels) or len(positions) != len(self.labels):
             raise UsageError("outcome labels must be non-empty and distinct",
                              "labels")
-        born = tuple(map(born_probability, self.amplitudes))
+        born = tuple(born)
         total = sum(born)
         if not math.isfinite(total):
             raise DomainError("total probability of the amplitudes "
@@ -90,6 +128,23 @@ class SampleSpace:
         scale = total if self._normalized else 1.0  # x / 1.0 is exactly x
         born = self.born
         return [born[i] / scale for i in positions]
+
+
+class _AmplitudesOnFirstRead:
+    """The `amplitudes` of a space from `SampleSpace._phase_zero`, which
+    leaves that field unset: magnitude i at phase 0, made on first read
+    and kept as the instance attribute, which then shadows this non-data
+    descriptor. (`cached_property` or a `__getattr__` hook would do the
+    same, but each slows every attribute read of the space.)"""
+
+    def __get__(self, space: SampleSpace, owner: type
+                ) -> Tuple[Amplitude, ...]:
+        amps = tuple(map(Amplitude, space.magnitudes.tolist(), repeat(0.0)))
+        object.__setattr__(space, "amplitudes", amps)
+        return amps
+
+
+SampleSpace.amplitudes = _AmplitudesOnFirstRead()
 
 
 def normalization_tolerance(n: int) -> float:
@@ -133,15 +188,17 @@ class GuessStatistics:
 def classical_space(weights: Sequence[float],
                     labels: Sequence[str]) -> SampleSpace:
     """Build a normalized space from non-negative weights; amplitude i gets
-    magnitude sqrt(w_i / sum w) at phase 0."""
+    magnitude sqrt(w_i / sum w) at phase 0. The quotients are Python's,
+    rounded once from the exact weights (ints beyond 2**53 included); the
+    space makes its amplitudes tuple when first read."""
     if any(not 0 <= w <= sys.float_info.max for w in weights):
         raise UsageError("weights must be finite and non-negative", "weights")
     total = sum(weights)
     if not 0 < total < math.inf:
         raise UsageError("weights must have a positive sum that float64 "
                          "can hold", "weights")
-    amps = tuple(Amplitude(math.sqrt(w / total), 0.0) for w in weights)
-    return SampleSpace(tuple(labels), amps)
+    quotients = list(map(operator.truediv, weights, repeat(total)))
+    return SampleSpace._phase_zero(tuple(labels), np.sqrt(quotients))
 
 
 def outcome_probability(space: SampleSpace, label: str) -> Probability:

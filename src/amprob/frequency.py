@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +68,16 @@ def _check_count(n: int, key: str) -> None:
                          "(numpy draws int64 counts)", key)
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's SeedSequence takes ints (numpy's included) of 0..2**64-1
+    try:
+        fits = 0 <= operator.index(seed) < 2 ** 64
+    except TypeError:
+        fits = False
+    if not fits:
+        raise UsageError("seed must fit in 64 unsigned bits", "seed")
+
+
 def check_schedule(schedule: Sequence[int], seed: int) -> None:
     """Argument check of `convergence_report`."""
     if len(schedule) == 0:
@@ -76,8 +86,19 @@ def check_schedule(schedule: Sequence[int], seed: int) -> None:
         _check_count(n, "schedule")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise UsageError("schedule must be strictly increasing", "schedule")
-    if not 0 <= seed < 2 ** 64:
-        raise UsageError("seed must fit in 64 unsigned bits", "seed")
+    _check_seed(seed)
+
+
+def _draws(space: SampleSpace, runs: Iterable[Tuple[int, int]],
+           caller: str) -> List[np.ndarray]:
+    """The outcome counts of each (n, seed) run, all drawn from one Born
+    distribution of the space: its |A|^2 vector over numpy's sum of it
+    (not SampleSpace._born, which redraws freq_2000_quote's counts)."""
+    if not space.is_normalized:
+        raise UsageError(f"{caller} requires a normalized space")
+    born = np.array(space.born)
+    probs = born / born.sum()
+    return [_rng(seed).multinomial(n, probs) for n, seed in runs]
 
 
 def record_trials(space: SampleSpace, n: int, seed: int) -> TrialLedger:
@@ -86,11 +107,8 @@ def record_trials(space: SampleSpace, n: int, seed: int) -> TrialLedger:
     Identical (space, n, seed) always yields an identical ledger.
     """
     _check_count(n, "n")
-    if not space.is_normalized:
-        raise UsageError("record_trials requires a normalized space")
-    born = np.array(space.born)
-    # numpy's sum, not SampleSpace._born: that redraws freq_2000_quote's counts
-    counts = _rng(seed).multinomial(n, born / born.sum())
+    _check_seed(seed)
+    counts, = _draws(space, [(n, seed)], "record_trials")
     return TrialLedger(
         counts=dict(zip(space.labels, counts.tolist())),
         total_n=n,
@@ -114,26 +132,24 @@ def amplitude_from_frequency(ledger: TrialLedger, label: str,
 def convergence_report(space: SampleSpace, schedule: Sequence[int],
                        seed: int) -> ConvergenceReport:
     """Estimate all magnitudes at each schedule point and report the max
-    absolute error against the space's true magnitudes.
+    absolute error against the space's true magnitudes (`magnitudes`).
 
     Each schedule entry draws from its own derived seed stream; the raw seed
-    is never reused across entries.
+    is never reused across entries. All entries draw from one Born
+    distribution, normalised once per report.
     """
     check_schedule(schedule, seed)
-    if not space.is_normalized:
-        raise UsageError("convergence_report requires a normalized space")
-
-    true_mags = [a.magnitude for a in space.amplitudes]
+    runs = [(n, child_seed(seed, k)) for k, n in enumerate(schedule)]
+    true_mags = space.magnitudes
     estimates = []
     errors = []
-    for k, n in enumerate(schedule):
-        counts = record_trials(space, n, child_seed(seed, k)).counts
+    for n, counts in zip(schedule, _draws(space, runs, "convergence_report")):
         # int / int true division, correctly rounded even for n > 2**53;
-        # one root per distinct count
-        roots = {c: math.sqrt(c / n) for c in set(counts.values())}
-        row = tuple(map(roots.__getitem__, counts.values()))
-        estimates.append(row)
-        errors.append(tuple(map(abs, map(operator.sub, row, true_mags))))
+        # one quotient per distinct count
+        distinct, at = np.unique(counts, return_inverse=True)
+        row = np.sqrt([c / n for c in distinct.tolist()])[at]
+        estimates.append(tuple(row.tolist()))
+        errors.append(tuple(np.abs(row - true_mags).tolist()))
     return ConvergenceReport(
         schedule=tuple(schedule),
         estimates=tuple(estimates),

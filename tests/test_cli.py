@@ -690,27 +690,33 @@ def test_one_refined_maxima_per_nslit_run(tmp_path, monkeypatch):
         slits.fringe_spacing(profile)
 
 
-def test_one_born_term_per_outcome_per_freq_run(tmp_path, monkeypatch):
-    # every probability of a space reads the |A|^2 vector built with it:
-    # a 4-stage run on 10**4 outcomes squares each amplitude once
-    calls = []
-    real = amplitude.born_probability
+def test_freq_run_makes_no_amplitude_per_outcome(tmp_path, monkeypatch):
+    # a 4-stage run on 10**4 outcomes keeps them as vectors: it builds
+    # no Amplitude, squares the magnitudes once when the space is built
+    # and normalises the Born vector once per report
+    made, settled, drawn = [], [], []
 
-    def counted(a):
-        calls.append(1)
-        return real(a)
+    def counted(log, real):
+        def wrapper(*args, **kwargs):
+            log.append(1)
+            return real(*args, **kwargs)
+        return wrapper
 
-    for mod in (amplitude, events, frequency, cli, config):
-        for key, value in list(vars(mod).items()):
-            if value is real:
-                monkeypatch.setattr(mod, key, counted)
+    monkeypatch.setattr(amplitude.Amplitude, "__post_init__",
+                        counted(made, amplitude.Amplitude.__post_init__))
+    monkeypatch.setattr(events.SampleSpace, "_settle",
+                        counted(settled, events.SampleSpace._settle))
+    monkeypatch.setattr(frequency, "_draws",
+                        counted(drawn, frequency._draws))
     n = 10 ** 4
     text = ("experiment = freq\n"
             f"weights = {', '.join(str(1 + i % 5) for i in range(n))}\n"
             f"labels = {', '.join(f'o{i}' for i in range(n))}\n"
             "schedule = 10, 100, 1000, 10000\nseed = 3\n")
     assert run_cli(tmp_path, text)[0] == 0
-    assert len(calls) == n
+    assert (len(made), len(settled), len(drawn)) == (0, 1, 1)
+    rows = (tmp_path / "cfg.csv").read_text().splitlines()
+    assert len(rows) == 1 + 4 * n and rows[-1].startswith("10000,o9999,")
 
 
 @pytest.mark.parametrize("text, key, line", [

@@ -5,8 +5,8 @@ from amprob import (ConfigError, SampleSpace, SlitGeometry, UsageError,
                     amplitude_from_frequency, arrival_probability,
                     classical_space, event_probability, outcome_probability,
                     record_trials)
-from amprob.config import (FIELD_REGISTRY, ExperimentConfig, parse_config,
-                           render_config)
+from amprob.config import (FIELD_REGISTRY, ExperimentConfig, _parse_value,
+                           parse_config, render_config)
 from test_acceptance import INVALID_CONFIGS, VALID_CONFIGS
 
 COIN = """\
@@ -120,6 +120,66 @@ def test_type_mismatch_reports_key_and_line():
         parse_config("experiment = coin\nweights = 1, spam\nlabels = a, b\n")
     assert exc.value.key == "weights"
     assert exc.value.line == 2
+
+
+def per_item_list(kind, raw, key, line):
+    """A list value parsed item by item, as `parse_config` did before it
+    read whole lists: the reference, with the error it raised."""
+    read = {"float": float, "int": lambda t: int(t, 10), "str": str}[kind]
+    items = []
+    for part in raw.split(","):
+        try:
+            items.append(read(part.strip()))
+        except ValueError:
+            return (f"line {line}: key '{key}': expected {kind}, got "
+                    f"{part.strip()!r}")
+    return items
+
+
+def whole_list(kind, raw, key, line):
+    try:
+        return _parse_value(f"{kind}_list", raw, key, line)
+    except ConfigError as exc:
+        assert (exc.key, exc.line) == (key, line)
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind, raw", [
+    ("float", "1,\t2.5\t, 3"),
+    ("float", "\u00a01.5 ,\u20032\u00a0"),
+    ("float", "1_000, 2_5.0_1, 1__0"),
+    ("float", "nan, -nan, inf, -0.0"),
+    ("int", "\t1_000 , 7\u00a0, 1e3"),
+    ("str", "\ta ,\u00a0b , c d,"),
+], ids=["tab", "nbsp", "underscore", "nan", "int", "str"])
+def test_a_list_reads_as_it_does_item_by_item(kind, raw):
+    assert repr(whole_list(kind, raw, "k", 4)) == \
+        repr(per_item_list(kind, raw, "k", 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["float", "int", "str"]),
+       st.text("0123456789.,_-+e nainfx\t\u00a0\u2003\u0660", min_size=1))
+def test_list_parse_equals_the_per_item_parse(kind, raw):
+    assert repr(whole_list(kind, raw, "k", 9)) == \
+        repr(per_item_list(kind, raw, "k", 9))
+
+
+@pytest.mark.parametrize("key, bad, kind", [
+    ("weights", " 2..5 ", "float"), ("schedule", "1e3", "int")])
+def test_a_bad_item_mid_list_names_its_key_and_line(key, bad, kind):
+    n = 10 ** 4
+    items = {"weights": ["1.5"] * n, "labels": [f"o{i}" for i in range(n)],
+             "schedule": [str(i) for i in range(1, n + 1)]}
+    items[key][n // 2] = bad
+    text = "experiment = freq\nseed = 1\n" + "".join(
+        f"{k} = {', '.join(v)}\n" for k, v in items.items())
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    line = 3 + list(items).index(key)
+    assert str(exc.value) == (f"line {line}: key '{key}': expected {kind}, "
+                              f"got {bad.strip()!r}")
+    assert (exc.value.key, exc.value.line) == (key, line)
 
 
 def test_negative_wavelength_names_key():

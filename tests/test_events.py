@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import time
 import tracemalloc
 
@@ -39,6 +40,19 @@ def test_classical_space_examples():
 
     single = classical_space([1], ["only"])
     assert outcome_probability(single, "only") == 1.0
+
+
+def test_a_classical_space_makes_its_amplitudes_when_first_read():
+    space = classical_space([3, 1], ["a", "b"])
+    assert "amplitudes" not in vars(space)
+    assert space.magnitudes.tolist() == [math.sqrt(0.75), 0.5]
+    assert not space.magnitudes.flags.writeable
+    amps = space.amplitudes
+    assert amps is space.amplitudes
+    assert amps == (Amplitude(math.sqrt(0.75), 0.0), Amplitude(0.5, 0.0))
+    assert space == SampleSpace(("a", "b"), amps)
+    copied = pickle.loads(pickle.dumps(classical_space([3, 1], ["a", "b"])))
+    assert copied == space and copied.born == space.born
 
 
 def test_classical_space_errors():

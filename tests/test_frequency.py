@@ -3,7 +3,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amprob import (
@@ -155,6 +155,22 @@ def test_trial_counts_and_seed_fit_numpy():
     assert convergence_report(FAIR, [10], seed=2 ** 64 - 1).schedule == (10,)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64])
+def test_record_trials_names_a_seed_numpy_cannot_take(seed):
+    # the rule of check_schedule: an int of 64 unsigned bits
+    with pytest.raises(UsageError, match="64 unsigned bits") as exc:
+        record_trials(FAIR, 10, seed)
+    assert exc.value.key == "seed"
+    with pytest.raises(UsageError) as exc:
+        convergence_report(FAIR, [10], seed)
+    assert exc.value.key == "seed"
+
+
+def test_record_trials_takes_a_numpy_int_seed():
+    assert record_trials(FAIR, 10, np.uint64(2 ** 64 - 1)) == \
+        record_trials(FAIR, 10, 2 ** 64 - 1)
+
+
 def test_convergence_report_reproducible():
     a = convergence_report(FAIR, [100, 1000], seed=9)
     b = convergence_report(FAIR, [100, 1000], seed=9)
@@ -227,3 +243,91 @@ def test_convergence_report_needs_a_normalized_space():
                                         Amplitude(1.0, 0.0)))
     with pytest.raises(UsageError, match="normalized space"):
         convergence_report(doubled, [10, 100], 1)
+
+
+def object_space(weights, labels):
+    """`classical_space` one Amplitude per weight, as it was built before
+    it kept its magnitudes as a vector: the reference."""
+    total = sum(weights)
+    return SampleSpace(tuple(labels), tuple(
+        Amplitude(math.sqrt(w / total), 0.0) for w in weights))
+
+
+def object_report(space, schedule, seed):
+    """`convergence_report` one outcome at a time from a multinomial on
+    the space's own Born vector: the reference, as hex rows."""
+    probs = np.array([born_probability(a) for a in space.amplitudes])
+    probs = probs / probs.sum()
+    true_mags = [a.magnitude for a in space.amplitudes]
+    estimates, errors = [], []
+    for k, n in enumerate(schedule):
+        rng = np.random.Generator(np.random.PCG64(child_seed(seed, k)))
+        row = [math.sqrt(c / n) for c in rng.multinomial(n, probs).tolist()]
+        estimates.append(row)
+        errors.append([abs(e - m) for e, m in zip(row, true_mags)])
+    return hex_rows(estimates), hex_rows(errors), hex_rows([
+        [max(err)] for err in errors])
+
+
+def hex_rows(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+# zeros, floats at any scale from 1e-300 to 1e300 and ints beyond 2**53
+WEIGHT = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(0.0, 10.0),
+              st.integers(-300, 300)),
+    st.integers(0, 2 ** 80))
+
+
+@settings(deadline=None)
+@given(st.one_of(st.lists(WEIGHT, min_size=1, max_size=30),
+                 st.lists(st.integers(0, 2 ** 80), min_size=1, max_size=30)),
+       st.lists(st.one_of(st.integers(1, 10 ** 6),
+                          st.integers(2 ** 53, 2 ** 63 - 1)),
+                min_size=1, max_size=3, unique=True),
+       st.integers(0, 2 ** 64 - 1))
+@example([1122735208474399910259, 93276909100225769417], [10], 0)
+@example([1.0], [1, 2 ** 62], 5)
+@example([0.0, 1e-300, 0, 3e300], [1000], 1)
+def test_vector_space_and_report_equal_the_object_path(weights, schedule,
+                                                       seed):
+    # Python's int / int rounds once: a float64 array division of the
+    # first example's weights gives born[0] 1 ulp low
+    if sum(weights) == 0:
+        weights = weights + [1]
+    labels = [f"o{i}" for i in range(len(weights))]
+    space, ref = classical_space(weights, labels), object_space(weights,
+                                                                labels)
+    assert [m.hex() for m in space.magnitudes.tolist()] == \
+        [a.magnitude.hex() for a in ref.amplitudes]
+    assert "amplitudes" not in vars(space)  # made when first read
+    assert [p.hex() for p in space.born] == [p.hex() for p in ref.born]
+    assert space.total_probability().hex() == ref.total_probability().hex()
+    assert space.is_normalized == ref.is_normalized
+    assert [(a.re.hex(), a.im.hex()) for a in space.amplitudes] == \
+        [(a.re.hex(), a.im.hex()) for a in ref.amplitudes]
+    assert space == ref and hash(space) == hash(ref)
+    assert repr(space) == repr(ref)
+    schedule = sorted(schedule)
+    report = convergence_report(classical_space(weights, labels), schedule,
+                                seed)
+    assert (hex_rows(report.estimates), hex_rows(report.errors),
+            hex_rows([[m] for m in report.max_errors])) == \
+        object_report(ref, schedule, seed)
+
+
+@given(phased_spaces(),
+       st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=3, unique=True),
+       st.integers(0, 2 ** 64 - 1))
+def test_report_on_a_phased_space_equals_the_object_path(space, schedule,
+                                                         seed):
+    # a space built from its amplitudes makes its magnitudes on first read
+    schedule = sorted(schedule)
+    report = convergence_report(space, schedule, seed)
+    assert (hex_rows(report.estimates), hex_rows(report.errors),
+            hex_rows([[m] for m in report.max_errors])) == \
+        object_report(space, schedule, seed)
+    assert space.magnitudes is space.magnitudes
+    assert not space.magnitudes.flags.writeable
