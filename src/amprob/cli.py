@@ -2,9 +2,11 @@
 
 `amprob run --config FILE [--out BASE] [--no-timestamp]` executes the
 configured experiment and writes `BASE.json` (always) plus `BASE.csv` for
-a tabular experiment whose format is csv. `amprob validate --config FILE`
-parses only. `python -m amprob` (or `python -m amprob.cli`) runs the same
-tool; the argument parser is built once, when this module is imported.
+a tabular experiment whose format is csv: a tabular runner hands over
+its named columns, and `_write_outputs` alone writes the rows. `amprob
+validate --config FILE` parses only. `python -m amprob` (or `python -m
+amprob.cli`) runs the same tool; the argument parser is built once, when
+this module is imported.
 
 Exit codes: 0 success, 2 configuration error (including a config that
 asks for more memory than the machine has), 3 I/O error, 4 internal
@@ -17,9 +19,10 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -33,11 +36,12 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-# A tabular run's BASE.csv, header first, made as it is read: one line
-# per row as csv.writer(fh, lineterminator="\n") writes it, a float cell
-# by repr, another by str, a string cell quoted as `_csv_cell` quotes it.
-Lines = Iterator[str]
-# CSV lines joined per write, so that memory stays flat
+# A tabular run's BASE.csv, as csv.writer(fh, lineterminator="\n") writes
+# it: the column names, and a function, called only when the CSV is written,
+# that makes the columns as iterables of cell texts (a float cell by repr,
+# another by str, a string cell quoted as `_csv_cell` quotes it).
+Table = Tuple[Tuple[str, ...], Callable[[], Iterable[Iterable[str]]]]
+# CSV rows joined per write, so that memory stays flat
 _ITEMS_PER_WRITE = 512
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
@@ -76,7 +80,7 @@ def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
 
 
 def _run_nslit(geom: slits.SlitGeometry, params: Dict[str, Any]
-               ) -> Tuple[Dict[str, Any], Lines]:
+               ) -> Tuple[Dict[str, Any], Table]:
     opened = params["open_slits"]
     profile = slits.intensity_profile(geom, params["y_min"], params["y_max"],
                                       params["n_points"], opened)
@@ -89,13 +93,12 @@ def _run_nslit(geom: slits.SlitGeometry, params: Dict[str, Any]
         "fringe_spacing_estimate_m": spacing,
         "peak_intensity": max(profile.probabilities),
     }
-    return summary, chain(["y_m,probability\n"], (
-        f"{y!r},{p!r}\n" for y, p in zip(profile.screen_points,
-                                         profile.probabilities)))
+    return summary, (("y_m", "probability"), lambda: (
+        map(repr, profile.screen_points), map(repr, profile.probabilities)))
 
 
 def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
-                ) -> Tuple[Dict[str, Any], Lines]:
+                ) -> Tuple[Dict[str, Any], Table]:
     triple = tuple(params["triple"])
     profile, residuals = slits.sorkin_profile(
         geom, params["y_min"], params["y_max"], params["n_points"], triple)
@@ -105,16 +108,10 @@ def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
         "peak_scale": peak,
         "max_abs_I3": max(map(abs, residuals)),
     }
-    return summary, _sorkin_rows(profile.screen_points, residuals, peak)
-
-
-def _sorkin_rows(ys: Sequence[float], residuals: Sequence[float],
-                 peak: float) -> Lines:
-    """The sorkin CSV's lines; the I3 texts come from one `_float_texts`
-    call, made when the first row is read."""
-    yield "y_m,I3,peak_scale\n"
-    end = f",{peak!r}\n"
-    yield from (f"{y!r},{r}{end}" for y, r in zip(ys, _float_texts(residuals)))
+    # I3 is zero up to rounding, so its values repeat: one `repr` each
+    return summary, (("y_m", "I3", "peak_scale"), lambda: (
+        map(repr, profile.screen_points), _float_texts(residuals),
+        repeat(repr(peak))))
 
 
 def _run_delayed(geom: slits.SlitGeometry, params: Dict[str, Any]
@@ -131,7 +128,7 @@ def _run_delayed(geom: slits.SlitGeometry, params: Dict[str, Any]
 
 
 def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
-              ) -> Tuple[Dict[str, Any], Lines]:
+              ) -> Tuple[Dict[str, Any], Table]:
     report = frequency.convergence_report(space, params["schedule"],
                                           params["seed"])
     summary = {
@@ -141,24 +138,24 @@ def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
         "phase": params["phase"],
         "max_errors": list(report.max_errors),
     }
-    return summary, _freq_rows(report, space.labels)
+    return summary, (("N", "outcome", "estimate", "abs_error"),
+                     lambda: _freq_columns(report, space.labels))
 
 
-def _freq_rows(report: frequency.ConvergenceReport,
-               labels: Sequence[str]) -> Lines:
-    """The freq CSV's rows, outcomes in `labels` order, stage by stage, from
-    one `_float_texts` call over the whole table (each stage's estimates,
-    then its errors): an estimate depends only on its count, and a zero
-    count's error is its true magnitude at every stage, so texts repeat."""
-    yield "N,outcome,estimate,abs_error\n"
+def _freq_columns(report: frequency.ConvergenceReport,
+                  labels: Sequence[str]) -> Tuple[Iterable[str], ...]:
+    """The freq CSV's columns, stage by stage, outcomes in `labels` order;
+    all estimates, then all errors, in one `_float_texts` call, since texts
+    repeat (an estimate depends only on its count, and a zero count's error
+    is its true magnitude at every stage)."""
     cells = list(map(_csv_cell, labels))
-    texts = _float_texts(list(chain.from_iterable(chain.from_iterable(
-        zip(report.estimates, report.errors)))))
-    width = len(cells)
-    for stage, n in enumerate(report.schedule):
-        at, head = 2 * width * stage, f"{n},"
-        yield from (f"{head}{c},{e},{r}\n" for c, e, r in zip(
-            cells, texts[at:at + width], texts[at + width:at + 2 * width]))
+    texts = _float_texts(list(chain.from_iterable(report.estimates
+                                                  + report.errors)))
+    half = len(texts) // 2
+    return (chain.from_iterable(repeat(str(n), len(cells))
+                                for n in report.schedule),
+            chain.from_iterable(repeat(cells, len(report.schedule))),
+            texts[:half], texts[half:])
 
 
 _RUNNERS = {
@@ -194,8 +191,8 @@ def _json_chunks(summary: Dict[str, Any]) -> Iterator[str]:
 
 
 def _write_outputs(base: Path, summary: Dict[str, Any],
-                   lines: Optional[Lines], timestamp: bool) -> List[Path]:
-    """Write BASE.json, and BASE.csv when handed lines, appending the
+                   table: Optional[Table], timestamp: bool) -> List[Path]:
+    """Write BASE.json, and BASE.csv when handed a table, appending the
     suffix to BASE's name (so `run.v1` writes `run.v1.json`); returns the
     paths written."""
     if timestamp:
@@ -205,11 +202,13 @@ def _write_outputs(base: Path, summary: Dict[str, Any],
     with open(written[0], "w", encoding="utf-8", newline="") as fh:
         fh.writelines(_json_chunks(summary))
         fh.write("\n")
-    if lines is not None:
+    if table is not None:
+        header, columns = table
+        rows = map(",".join, chain([header], zip(*columns())))
         written.append(base.with_name(base.name + ".csv"))
         with open(written[1], "w", encoding="utf-8", newline="") as fh:
-            while chunk := "".join(islice(lines, _ITEMS_PER_WRITE)):
-                fh.write(chunk)
+            while chunk := list(islice(rows, _ITEMS_PER_WRITE)):
+                fh.write("\n".join(chunk) + "\n")
     return written
 
 
@@ -224,10 +223,9 @@ def run_experiment(config: ExperimentConfig, out: Optional[str] = None,
         base = check_output(base_str)
     except UsageError as exc:
         raise ConfigError(str(exc), exc.key) from None
-    summary, rows = _RUNNERS[config.experiment](config.subject,
-                                                config.params)
+    summary, table = _RUNNERS[config.experiment](config.subject, config.params)
     return _write_outputs(base, {"experiment": config.experiment, **summary},
-                          rows if config.format == "csv" else None, timestamp)
+                          table if config.format == "csv" else None, timestamp)
 
 
 _PARSER = argparse.ArgumentParser(

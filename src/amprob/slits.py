@@ -13,6 +13,7 @@ relative intensities, not normalized over the screen.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -27,6 +28,8 @@ from .events import SampleSpace, classical_space
 DUAL_FORM_RTOL = 1e-12
 # Amplitude cells (screen points x open slits) per kernel pass.
 _BLOCK_CELLS = 4096
+# 8 in the float64 grid, and a pointer and a 24-byte float per tuple
+_BYTES_PER_POINT = 72
 
 
 @dataclass(frozen=True)
@@ -197,10 +200,24 @@ def _open_list(geom: SlitGeometry, open_slits: Iterable[int],
     return opened
 
 
+def _physical_memory() -> Optional[int]:
+    """Physical memory in bytes, or None where `os.sysconf` cannot tell."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no name
+        return None
+    return pages * size if pages > 0 < size else None
+
+
 def check_profile(geom: SlitGeometry, y_min: float, y_max: float,
                   n_points: int, open_slits: Optional[Iterable[int]] = None
                   ) -> list[int]:
-    """Argument check of `intensity_profile`; returns the open slits."""
+    """Argument check of `intensity_profile`; returns the open slits.
+
+    A grid holds at least 72 bytes per point (the float64 grid and two
+    tuples of Python floats), so one whose floor exceeds the machine's
+    physical memory raises `UsageError` naming `n_points`; where
+    `os.sysconf` cannot tell that memory, this rule is skipped."""
     ends = [(key, _floats([y], key))
             for key, y in (("y_min", y_min), ("y_max", y_max))]
     if not y_min < y_max:
@@ -208,6 +225,10 @@ def check_profile(geom: SlitGeometry, y_min: float, y_max: float,
     if not 2 <= n_points <= 2 ** 53:
         raise UsageError("n_points must be in 2..2**53, where float64 "
                          "still counts exactly", "n_points")
+    floor, memory = _BYTES_PER_POINT * n_points, _physical_memory()
+    if memory is not None and floor > memory:
+        raise UsageError(f"n_points {n_points} needs at least {floor} bytes, "
+                         f"more than this machine's {memory}", "n_points")
     # a subnormal step, or one within a few ulps of the ends, rounds
     # neighbouring grid points onto the same float
     step = (y_max - y_min) / (n_points - 1)
@@ -341,12 +362,12 @@ def sorkin_profile(geom: SlitGeometry, y_min: float, y_max: float,
 def delayed_choice(geom: SlitGeometry,
                    y_detectors: Sequence[float]) -> DetectionReport:
     """Which-path mode: detector i accepts quanta only from slit i, so each
-    reads the single-slit probability at its position (self terms only) and
-    the interference part is structurally zero."""
+    reads the self term |a_i|^2 of its own slit at its position, and the
+    interference part is structurally zero."""
     check_detectors(geom, y_detectors)
     ys = np.asarray(y_detectors, dtype=float)
     amps = np.diagonal(_amplitudes(geom, ys, range(geom.n_slits)))
-    per = tuple(_born(amps[:, None], ys).tolist())
+    per = tuple((amps.real * amps.real + amps.imag * amps.imag).tolist())
     return DetectionReport(per_detector_probability=per, total=sum(per),
                            interference_part=0.0)
 

@@ -213,10 +213,20 @@ def test_non_utf8_config_exit_2(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
-def test_unallocatable_grid_exit_2(tmp_path, capsys):
-    # 1e15 float64 points ask for 7.11 PiB, so numpy fails at allocation
-    # and touches no memory
+def test_unallocatable_grid_exit_2(tmp_path, capsys, monkeypatch):
+    # 1e15 points need at least 72e15 bytes, more than any machine's
+    # physical memory, so validate and run both reject them by n_points
     text = NSLIT.replace("n_points = 2001", "n_points = 1000000000000000")
+    assert validate(tmp_path, text) == 2
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    assert capsys.readouterr().err.count(
+        "line 8: key 'n_points': n_points 1000000000000000 needs at least "
+        "72000000000000000 bytes") == 2
+    assert not out.with_suffix(".json").exists()
+    # where the memory is not told, run fails at numpy's allocation of
+    # 7.11 PiB of float64, which touches no memory
+    monkeypatch.setattr(slits, "_physical_memory", lambda: None)
     assert validate(tmp_path, text) == 0
     code, out = run_cli(tmp_path, text)
     assert code == 2
@@ -479,10 +489,9 @@ FUNCTION_SCOPED = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@FUNCTION_SCOPED
-@given(st.lists(st.tuples(CSV_FLOATS, CSV_FLOATS), min_size=1, max_size=40))
-def test_nslit_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch,
-                                                 points):
+def check_nslit_csv(tmp_path, monkeypatch, points):
+    """The nslit CSV of a profile of (y, probability) points is the text
+    the csv module writes."""
     ys, probs = map(tuple, zip(*points))
     monkeypatch.setattr(slits, "intensity_profile",
                         lambda *args: slits.IntensityProfile(ys, probs))
@@ -493,11 +502,9 @@ def test_nslit_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch,
         [("y_m", "probability"), *points]).encode("utf-8")
 
 
-@FUNCTION_SCOPED
-@given(st.lists(st.tuples(CSV_FLOATS, CSV_FLOATS, CSV_FLOATS), min_size=1,
-                max_size=40))
-def test_sorkin_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch,
-                                                  points):
+def check_sorkin_csv(tmp_path, monkeypatch, points):
+    """The sorkin CSV of (y, probability, I3) points is the text the csv
+    module writes."""
     ys, probs, residuals = map(tuple, zip(*points))
     monkeypatch.setattr(slits, "sorkin_profile", lambda *args: (
         slits.IntensityProfile(ys, probs), residuals))
@@ -509,16 +516,10 @@ def test_sorkin_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch,
          *((y, r, peak) for y, _, r in points)]).encode("utf-8")
 
 
-@FUNCTION_SCOPED
-@given(st.data())
-def test_freq_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch, data):
-    labels = data.draw(st.lists(CSV_LABELS, min_size=1, max_size=5,
-                                unique=True))
-    schedule = data.draw(st.lists(st.integers(1, 2 ** 63 - 1), min_size=1,
-                                  max_size=3))
-    stage = st.tuples(*[CSV_FLOATS] * len(labels))
-    estimates = [data.draw(stage) for _ in schedule]
-    errors = [data.draw(stage) for _ in schedule]
+def check_freq_csv(tmp_path, monkeypatch, labels, schedule, estimates,
+                   errors):
+    """The freq CSV of a report with these stages is the text the csv
+    module writes."""
     report = frequency.ConvergenceReport(
         tuple(schedule), tuple(estimates), tuple(errors),
         tuple(map(max, errors)))
@@ -531,6 +532,68 @@ def test_freq_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch, data):
          *((n, lab, e, r)
            for n, est, err in zip(schedule, estimates, errors)
            for lab, e, r in zip(labels, est, err))]).encode("utf-8")
+
+
+@FUNCTION_SCOPED
+@given(st.lists(st.tuples(CSV_FLOATS, CSV_FLOATS), min_size=1, max_size=40))
+def test_nslit_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch,
+                                                 points):
+    check_nslit_csv(tmp_path, monkeypatch, points)
+
+
+@FUNCTION_SCOPED
+@given(st.lists(st.tuples(CSV_FLOATS, CSV_FLOATS, CSV_FLOATS), min_size=1,
+                max_size=40))
+def test_sorkin_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch,
+                                                  points):
+    check_sorkin_csv(tmp_path, monkeypatch, points)
+
+
+@FUNCTION_SCOPED
+@given(st.data())
+def test_freq_csv_is_what_the_csv_module_writes(tmp_path, monkeypatch, data):
+    labels = data.draw(st.lists(CSV_LABELS, min_size=1, max_size=5,
+                                unique=True))
+    schedule = data.draw(st.lists(st.integers(1, 2 ** 63 - 1), min_size=1,
+                                  max_size=3))
+    stage = st.tuples(*[CSV_FLOATS] * len(labels))
+    estimates = [data.draw(stage) for _ in schedule]
+    errors = [data.draw(stage) for _ in schedule]
+    check_freq_csv(tmp_path, monkeypatch, labels, schedule, estimates,
+                   errors)
+
+
+# labels that csv quotes, but for "plain"
+CHUNK_LABELS = ["a,b", 'say "hi"', "two\nlines", "plain", ",", '"', "é,☃"]
+
+
+@pytest.mark.parametrize("experiment", ["nslit", "sorkin", "freq"])
+@pytest.mark.parametrize("rows", [511, 512, 513, 1025])
+def test_csv_is_what_the_csv_module_writes_across_write_chunks(
+        tmp_path, monkeypatch, experiment, rows):
+    # rows counts the header too; the writer joins 512 rows per write
+    rnd = random.Random(rows)
+    pool = [-0.0, 0.0, 5e-324, 0.1, 1e22, float("nan")]
+
+    def floats(n):
+        # half from a few repeated values, so `_float_texts` dedupes
+        return tuple(rnd.choice(pool) if rnd.random() < 0.5
+                     else rnd.gauss(0.0, 1.0) for _ in range(n))
+
+    n = rows - 1
+    if experiment == "nslit":
+        check_nslit_csv(tmp_path, monkeypatch, list(zip(floats(n),
+                                                        floats(n))))
+    elif experiment == "sorkin":
+        check_sorkin_csv(tmp_path, monkeypatch, list(zip(
+            floats(n), floats(n), floats(n))))
+    else:
+        width = next(w for w in (7, 5, 4) if n % w == 0)
+        schedule = [10 ** 17 * k + 1 for k in range(1, n // width + 1)]
+        check_freq_csv(tmp_path, monkeypatch, CHUNK_LABELS[:width], schedule,
+                       [floats(width) for _ in schedule],
+                       [floats(width) for _ in schedule])
+    assert cli._ITEMS_PER_WRITE == 512
 
 
 def float_bits(values):

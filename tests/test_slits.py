@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -574,12 +575,6 @@ def test_which_path_and_pair_terms_equal_the_inline_formulas():
         assert term == float(2.0 * (a.real * b.real + a.imag * b.imag))
 
 
-def test_delayed_choice_checks_the_dual_form(monkeypatch):
-    monkeypatch.setattr(slits, "DUAL_FORM_RTOL", -1.0)
-    with pytest.raises(InvariantError):
-        delayed_choice(two_slit(), [-D / 2, D / 2])
-
-
 def test_sorkin_checks_the_dual_form(monkeypatch, tmp_path):
     monkeypatch.setattr(slits, "DUAL_FORM_RTOL", -1.0)
     geom = random_geometry(np.random.default_rng(16), 4)
@@ -744,6 +739,44 @@ def test_sorkin_profile_names_the_key_at_fault():
         with pytest.raises(UsageError) as err:
             slits.sorkin_profile(geom, *args)
         assert err.value.key == key
+
+
+def test_a_grid_beyond_physical_memory_is_named_by_n_points(monkeypatch):
+    # the memory reading is patched, so no grid is allocated
+    monkeypatch.setattr(slits, "_physical_memory", lambda: 72 * 1000)
+    geom = two_slit()
+    assert slits.check_profile(geom, -0.1, 0.1, 1000) == [0, 1]
+    for call in (slits.check_profile, intensity_profile):
+        with pytest.raises(UsageError, match="n_points 1001 needs at least "
+                           "72072 bytes, more than this machine's 72000$"
+                           ) as exc:
+            call(geom, -0.1, 0.1, 1001)
+        assert exc.value.key == "n_points"
+    three = SlitGeometry((-1.0, 0.0), 0.0, (-1e-5, 0.0, 1e-5), 1.0, 5e-7)
+    with pytest.raises(UsageError) as exc:
+        slits.sorkin_profile(three, -0.1, 0.1, 1001, (0, 1, 2))
+    assert exc.value.key == "n_points"
+    monkeypatch.setattr(slits, "_physical_memory", lambda: None)
+    assert slits.check_profile(geom, -1e6, 1e6, 10 ** 12) == [0, 1]
+
+
+def test_physical_memory_is_what_sysconf_tells(monkeypatch):
+    names = ("SC_PHYS_PAGES", "SC_PAGE_SIZE")
+    if hasattr(os, "sysconf") and set(names) <= set(os.sysconf_names):
+        assert slits._physical_memory() == \
+            os.sysconf(names[0]) * os.sysconf(names[1]) > 0
+
+    def unnamed(name):
+        raise ValueError("unrecognized configuration name")
+
+    for sysconf in (unnamed, lambda name: -1,
+                    lambda name: {"SC_PHYS_PAGES": 4}.get(name, 0)):
+        monkeypatch.setattr(slits.os, "sysconf", sysconf, raising=False)
+        assert slits._physical_memory() is None
+    monkeypatch.setattr(slits.os, "sysconf", lambda name: 4096)
+    assert slits._physical_memory() == 4096 * 4096
+    monkeypatch.delattr(slits.os, "sysconf")
+    assert slits._physical_memory() is None
 
 
 def test_median_spacing_is_the_fringe_spacing_rule():
