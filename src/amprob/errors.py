@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package, and `shown`, the short
-repr their messages give a value."""
+"""Exception hierarchy shared across the package; `shown`, the short repr
+their messages give a value; and `int_in`, the int test of the argument
+checks that raise them."""
 
+import operator
 import reprlib
 
 
@@ -38,6 +40,15 @@ class _ShortRepr(reprlib.Repr):
 # `reprlib.repr`, except that an int too long for `repr` is shown by its
 # bit length, so no message raises while it names the value at fault
 shown = _ShortRepr().repr
+
+
+def int_in(value: int, low: int, high: int) -> bool:
+    """Whether `value` is an int (numpy's included, as `operator.index`
+    reads it) in low..high-1."""
+    try:
+        return low <= operator.index(value) < high
+    except TypeError:
+        return False
 
 
 class ConfigError(UsageError):

@@ -9,14 +9,13 @@ reproducible.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .amplitude import Amplitude
-from .errors import UsageError, shown
+from .errors import UsageError, int_in, shown
 from .events import SampleSpace
 
 # Recorded in outputs so regression values stay pinned to one generator.
@@ -63,18 +62,14 @@ def child_seed(seed: int, index: int) -> int:
 
 
 def _check_count(n: int, key: str) -> None:
-    if not 1 <= n < 2 ** 63:
-        raise UsageError(f"trial count {shown(n)} is outside 1..2**63-1 "
-                         "(numpy draws int64 counts)", key)
+    if not int_in(n, 1, 2 ** 63):  # numpy draws int64 counts
+        raise UsageError(f"trial count {shown(n)} is not an int in "
+                         "1..2**63-1", key)
 
 
 def _check_seed(seed: int) -> None:
-    # numpy's SeedSequence takes ints (numpy's included) of 0..2**64-1
-    try:
-        fits = 0 <= operator.index(seed) < 2 ** 64
-    except TypeError:
-        fits = False
-    if not fits:
+    # numpy's SeedSequence takes ints of 0..2**64-1
+    if not int_in(seed, 0, 2 ** 64):
         raise UsageError("seed must fit in 64 unsigned bits", "seed")
 
 

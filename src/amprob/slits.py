@@ -13,6 +13,7 @@ relative intensities, not normalized over the screen.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 
 from .amplitude import (Amplitude, Probability, SignedProbability,
                         interference_term)
-from .errors import InvariantError, UsageError, shown
+from .errors import InvariantError, UsageError, int_in, shown
 from .events import SampleSpace, classical_space
 
 DUAL_FORM_RTOL = 1e-12
@@ -187,16 +188,16 @@ def _born(amps: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def _open_list(geom: SlitGeometry, open_slits: Iterable[int],
                key: str = "open_slits") -> list[int]:
-    opened = sorted(open_slits)
+    opened = list(open_slits)
     if not opened:
         raise UsageError(f"{key} must be non-empty", key)
+    for i in opened:
+        if not int_in(i, 0, geom.n_slits):
+            raise UsageError(f"slit index {shown(i)} is not an int in range "
+                             f"0..{geom.n_slits - 1}", key)
+    opened = sorted(map(operator.index, opened))
     if len(set(opened)) != len(opened):
         raise UsageError(f"{key} must be distinct", key)
-    for i in opened:
-        if not 0 <= i < geom.n_slits:
-            raise UsageError(
-                f"slit index {shown(i)} out of range 0..{geom.n_slits - 1}",
-                key)
     return opened
 
 
@@ -220,11 +221,14 @@ def check_profile(geom: SlitGeometry, y_min: float, y_max: float,
     `os.sysconf` cannot tell that memory, this rule is skipped."""
     ends = [(key, _floats([y], key))
             for key, y in (("y_min", y_min), ("y_max", y_max))]
+    for key, end in ends:
+        if not np.isfinite(end[0]):
+            raise UsageError(f"{key} must be finite", key)
     if not y_min < y_max:
         raise UsageError("y_min must be less than y_max", "y_min")
-    if not 2 <= n_points <= 2 ** 53:
-        raise UsageError("n_points must be in 2..2**53, where float64 "
-                         "still counts exactly", "n_points")
+    if not int_in(n_points, 2, 2 ** 53 + 1):
+        raise UsageError("n_points must be an int in 2..2**53, where "
+                         "float64 still counts exactly", "n_points")
     floor, memory = _BYTES_PER_POINT * n_points, _physical_memory()
     if memory is not None and floor > memory:
         raise UsageError(f"n_points {n_points} needs at least {floor} bytes, "

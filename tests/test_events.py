@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -55,6 +56,61 @@ def test_a_classical_space_makes_its_amplitudes_when_first_read():
     assert copied == space and copied.born == space.born
 
 
+def pickled(space):
+    return pickle.loads(pickle.dumps(space))
+
+
+@pytest.mark.parametrize("duplicate", [pickled, copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("first_read", [(), ("amplitudes",),
+                                        ("magnitudes",),
+                                        ("amplitudes", "magnitudes")],
+                         ids=["unread", "amplitudes", "magnitudes", "both"])
+@pytest.mark.parametrize("make", [
+    lambda: classical_space([3, 1, 0, 2 ** 60 + 1], ["a", "b", "c", "d"]),
+    lambda: SampleSpace(("a", "b", "c"), (Amplitude(0.6, 0.0), ZERO,
+                                          Amplitude(-0.3, -0.74))),
+], ids=["classical", "amplitudes"])
+def test_a_copied_space_is_the_space_the_constructor_builds(make, first_read,
+                                                            duplicate):
+    # a writeable copy of magnitudes could change amplitudes but not born
+    space = make()
+    for name in first_read:
+        getattr(space, name)
+    copied = duplicate(space)
+    hexes = lambda xs: [x.hex() for x in xs]
+    assert copied == space and hash(copied) == hash(space)
+    assert repr(copied) == repr(space)
+    assert hexes(copied.born) == hexes(space.born)
+    assert copied.total_probability().hex() == \
+        space.total_probability().hex()
+    assert copied.is_normalized == space.is_normalized
+    assert hexes(copied.magnitudes.tolist()) == \
+        hexes(space.magnitudes.tolist())
+    assert not copied.magnitudes.flags.writeable
+    with pytest.raises(ValueError):
+        copied.magnitudes[0] = 5.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2 ** 70),
+                          st.floats(0.0, 1e300)), min_size=1, max_size=40))
+@example([0, 1])
+@example([2 ** 60 + 1, 0, 3])
+@example(list(range(2001)))
+def test_a_pickled_classical_space_keeps_its_bits(weights):
+    # at phase 0 the constructor's re*re + im*im is m*m + 0.0 and its
+    # hypot(m, 0.0) is m
+    assume(0 < sum(weights) < math.inf)
+    space = classical_space(weights, [f"o{i}" for i in range(len(weights))])
+    copied = pickled(space)
+    assert [p.hex() for p in copied.born] == [p.hex() for p in space.born]
+    assert copied.total_probability().hex() == \
+        space.total_probability().hex()
+    assert [m.hex() for m in copied.magnitudes.tolist()] == \
+        [m.hex() for m in space.magnitudes.tolist()]
+
+
 def test_classical_space_errors():
     with pytest.raises(UsageError):
         classical_space([], [])
@@ -103,7 +159,9 @@ def test_outcome_probability_unknown():
 def test_event_probability_examples():
     fair = classical_space([1, 1], ["h", "t"])
     assert event_probability(fair, ["h", "t"]) == pytest.approx(1.0, abs=1e-12)
-    assert event_probability(fair, []) == 0.0
+    empty = event_probability(fair, [])
+    assert type(empty) is float and math.copysign(1.0, empty) == 1.0
+    assert empty == 0.0
 
     w = classical_space([2, 1, 1], ["a", "b", "c"])
     assert event_probability(w, ["a", "b"]) == pytest.approx(0.75, abs=1e-12)

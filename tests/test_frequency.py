@@ -155,6 +155,23 @@ def test_trial_counts_and_seed_fit_numpy():
     assert convergence_report(FAIR, [10], seed=2 ** 64 - 1).schedule == (10,)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, "3", None])
+def test_a_trial_count_must_be_an_int(n):
+    # a float count would give one draw the estimate sqrt(1 / 1.5)
+    with pytest.raises(UsageError) as exc:
+        record_trials(FAIR, n, 1)
+    assert exc.value.key == "n"
+    with pytest.raises(UsageError) as exc:
+        convergence_report(FAIR, [n, 4], seed=1)
+    assert exc.value.key == "schedule"
+
+
+def test_a_numpy_int_trial_count_is_taken():
+    n = np.int64(3)
+    assert record_trials(FAIR, n, 1) == record_trials(FAIR, 3, 1)
+    assert convergence_report(FAIR, [n], 1) == convergence_report(FAIR, [3], 1)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64])
 def test_record_trials_names_a_seed_numpy_cannot_take(seed):
     # the rule of check_schedule: an int of 64 unsigned bits

@@ -741,6 +741,55 @@ def test_sorkin_profile_names_the_key_at_fault():
         assert err.value.key == key
 
 
+THREE_SLITS = SlitGeometry((-1.0, 0.0), 0.0, (-1e-5, 0.0, 1e-5), 1.0,
+                           WAVELENGTH)
+
+
+@pytest.mark.parametrize("y_min, y_max, n_points, key", [
+    (-math.inf, 0.0, 10, "y_min"),  # before the grid-step rule
+    (0.0, math.inf, 10, "y_max"),
+    (math.nan, 0.0, 10, "y_min"),
+    (0.0, math.nan, 10, "y_max"),  # before the order rule
+    (-0.1, 0.1, 10.0, "n_points"),  # before numpy reads it
+    (-0.1, 0.1, "10", "n_points"),
+], ids=["-inf", "inf", "nan_min", "nan_max", "float_n", "str_n"])
+@pytest.mark.parametrize("call", [
+    lambda geom, *grid: intensity_profile(geom, *grid),
+    lambda geom, *grid: slits.sorkin_profile(geom, *grid, (0, 1, 2)),
+], ids=["intensity_profile", "sorkin_profile"])
+def test_a_bad_grid_is_named_by_its_key(call, y_min, y_max, n_points, key):
+    with pytest.raises(UsageError) as exc:
+        call(THREE_SLITS, y_min, y_max, n_points)
+    assert exc.value.key == key
+
+
+@pytest.mark.parametrize("index", [1.0, 0.5, "1", None])
+@pytest.mark.parametrize("call, key", [
+    (lambda geom, i: intensity_profile(geom, -0.1, 0.1, 11, [0, i]),
+     "open_slits"),
+    (lambda geom, i: arrival_probability(geom, 0.0, [i, 2]), "open_slits"),
+    (lambda geom, i: path_amplitude(geom, i, 0.0), "open_slits"),
+    (lambda geom, i: pairwise_interference(geom, 0.0, i, 2), "open_slits"),
+    (lambda geom, i: sorkin_invariant(geom, 0.0, (0, i, 2)), "triple"),
+    (lambda geom, i: slits.sorkin_profile(geom, -0.1, 0.1, 11, (0, i, 2)),
+     "triple"),
+], ids=["intensity_profile", "arrival_probability", "path_amplitude",
+        "pairwise_interference", "sorkin_invariant", "sorkin_profile"])
+def test_a_slit_index_must_be_an_int(call, key, index):
+    # before any index reaches the kernel's tuple of slit offsets
+    with pytest.raises(UsageError, match="not an int") as exc:
+        call(THREE_SLITS, index)
+    assert exc.value.key == key
+
+
+def test_numpy_ints_are_taken_as_slit_indices_and_point_counts():
+    one, ten = np.int64(1), np.int64(10)
+    assert intensity_profile(THREE_SLITS, -0.1, 0.1, ten, [0, one]) == \
+        intensity_profile(THREE_SLITS, -0.1, 0.1, 10, [0, 1])
+    assert sorkin_invariant(THREE_SLITS, 0.01, (0, one, 2)) == \
+        sorkin_invariant(THREE_SLITS, 0.01, (0, 1, 2))
+
+
 def test_a_grid_beyond_physical_memory_is_named_by_n_points(monkeypatch):
     # the memory reading is patched, so no grid is allocated
     monkeypatch.setattr(slits, "_physical_memory", lambda: 72 * 1000)
