@@ -1,15 +1,17 @@
-"""Flat key = value experiment configuration.
+"""Flat key = value experiment configuration, and the experiments.
 
 One `key = value` per line, `#` starts a comment, lists are comma
 separated. Lengths are SI meters; length keys (`_LENGTHS`) also accept
 `_nm`, `_um` and `_mm` suffixed variants, converted at parse time. Parse
 errors carry the offending key and line number.
 
-An `ExperimentConfig` is resolved when it is constructed: it alone rules
-on the experiment's keys and their value kinds, fills the omitted keys,
-builds the run's subject (its `SampleSpace` or `SlitGeometry`) and calls
-the argument checks of the kernels the run feeds, so each rule lives in
-the domain code that owns it.
+`EXPERIMENTS` holds each experiment's keys, formats and the functions
+that build its subject (the `SampleSpace` or `SlitGeometry` it runs on),
+check and run it. An `ExperimentConfig` is resolved when it is
+constructed: it alone rules on the experiment's keys and their value
+kinds, fills the omitted keys, builds the subject and calls the check,
+which calls the argument checks of the kernels the run feeds, so each
+rule lives in the domain code that owns it.
 """
 
 from __future__ import annotations
@@ -17,16 +19,16 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
+
+import numpy as np
 
 from . import events, frequency, slits
 from .errors import ConfigError, UsageError, shown
 
-# experiment -> the output formats it can write; the first is the default.
-OUTPUT_FORMATS = {"coin": ("json",), "nslit": ("csv", "json"),
-                  "sorkin": ("csv", "json"), "delayed": ("json",),
-                  "freq": ("csv", "json")}
 # Joins a (call, fall) pair into one key of the coin's joint_table.
 JOINT_KEY_SEP = "*"
 
@@ -36,9 +38,9 @@ _KIND_TYPES = {"float": {float, int}, "int": {int}, "str": {str}}
 # scalar kind -> how `parse_config` reads its text, blanks around it ignored
 _READERS = {"float": float, "int": partial(int, base=10), "str": str.strip}
 
-# key -> (type, required, default); geometry block shared by the slit
-# experiments.
-_GEOMETRY_FIELDS: Dict[str, Tuple[str, bool, Any]] = {
+# key -> (kind, required, default)
+Fields = Dict[str, Tuple[str, bool, Any]]
+_GEOMETRY_FIELDS: Fields = {  # the block shared by the slit experiments
     "wavelength": ("float", True, None),
     "source_x": ("float", True, None),
     "source_y": ("float", False, 0.0),
@@ -49,38 +51,191 @@ _GEOMETRY_FIELDS: Dict[str, Tuple[str, bool, Any]] = {
 # the keys in meters, the only ones that take a unit suffix
 _LENGTHS = {*_GEOMETRY_FIELDS, "y_min", "y_max", "detector_y"}
 
-_PROFILE_FIELDS: Dict[str, Tuple[str, bool, Any]] = {
+_PROFILE_FIELDS: Fields = {
     "y_min": ("float", True, None),
     "y_max": ("float", True, None),
     "n_points": ("int", True, None),
 }
+_SPACE_FIELDS: Fields = {
+    "weights": ("float_list", True, None),
+    "labels": ("str_list", True, None),
+}
 
-FIELD_REGISTRY: Dict[str, Dict[str, Tuple[str, bool, Any]]] = {
-    "coin": {
-        "weights": ("float_list", True, None),
-        "labels": ("str_list", True, None),
-    },
-    "nslit": {
-        **_GEOMETRY_FIELDS,
-        **_PROFILE_FIELDS,
-        "open_slits": ("int_list", False, None),
-    },
-    "sorkin": {
-        **_GEOMETRY_FIELDS,
-        **_PROFILE_FIELDS,
-        "triple": ("int_list", False, [0, 1, 2]),
-    },
-    "delayed": {
-        **_GEOMETRY_FIELDS,
-        "detector_y": ("float_list", False, None),
-    },
-    "freq": {
-        "weights": ("float_list", True, None),
-        "labels": ("str_list", True, None),
-        "schedule": ("int_list", True, None),
-        "seed": ("int", True, None),
-        "phase": ("float", False, 0.0),
-    },
+# A tabular run's BASE.csv, as csv.writer(fh, lineterminator="\n") writes
+# it: the column names, and a function, called only when the CSV is written,
+# that makes the columns as iterables of cell texts (a float cell by repr,
+# another by str, a string cell quoted as `_csv_cell` quotes it).
+Table = Tuple[Tuple[str, ...], Callable[[], Iterable[Iterable[str]]]]
+
+
+def _space(p: Dict[str, Any]) -> events.SampleSpace:
+    return events.classical_space(p["weights"], p["labels"])
+
+
+def _geometry(p: Dict[str, Any]) -> slits.SlitGeometry:
+    return slits.SlitGeometry(
+        source=(p["source_x"], p["source_y"]), slit_plane_x=p["slit_plane_x"],
+        slit_offsets=tuple(p["slit_offsets"]),
+        screen_plane_x=p["screen_plane_x"], wavelength=p["wavelength"])
+
+
+def _check_coin(space: events.SampleSpace, p: Dict[str, Any]) -> None:
+    if any(JOINT_KEY_SEP in label for label in p["labels"]):
+        raise UsageError(f"coin labels may not contain {JOINT_KEY_SEP!r}, "
+                         "which joins the joint_table keys", "labels")
+
+
+def _check_nslit(geom: slits.SlitGeometry, p: Dict[str, Any]) -> None:
+    p.setdefault("open_slits", list(range(geom.n_slits)))
+    slits.check_profile(geom, p["y_min"], p["y_max"], p["n_points"],
+                        p["open_slits"])
+
+
+def _check_sorkin(geom: slits.SlitGeometry, p: Dict[str, Any]) -> None:
+    slits.check_triple(geom, p["triple"])
+    slits.check_profile(geom, p["y_min"], p["y_max"], p["n_points"],
+                        p["triple"])
+
+
+def _check_delayed(geom: slits.SlitGeometry, p: Dict[str, Any]) -> None:
+    p.setdefault("detector_y", list(geom.slit_offsets))
+    slits.check_detectors(geom, p["detector_y"])
+
+
+def _check_freq(space: events.SampleSpace, p: Dict[str, Any]) -> None:
+    frequency.check_schedule(p["schedule"], p["seed"])
+
+
+def _csv_cell(text: str) -> str:
+    """A string cell as csv's QUOTE_MINIMAL writes it with lineterminator
+    "\n": quoted, with `"` doubled, if it holds `,`, `"` or a newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _float_texts(values: Sequence[float]) -> List[str]:
+    """`list(map(repr, values))`, calling `repr` once per float64 bit
+    pattern, so `-0.0` and `0.0`, and NaN payloads, keep their own texts."""
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64)
+                              .view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                     dtype=object)
+    return texts[inverse].tolist()
+
+
+def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
+              ) -> Tuple[Dict[str, Any], None]:
+    stats = events.guess_game(space)
+    probs = stats.probabilities.items()
+    summary = {
+        "labels": list(space.labels),
+        "probabilities": stats.probabilities,
+        "p_correct": stats.p_correct,
+        # the products of GuessStatistics' joint table, in its key order
+        "joint_table": {f"{call}{JOINT_KEY_SEP}{fall}": p_call * p_fall
+                        for call, p_call in probs for fall, p_fall in probs},
+    }
+    return summary, None
+
+
+def _run_nslit(geom: slits.SlitGeometry, params: Dict[str, Any]
+               ) -> Tuple[Dict[str, Any], Table]:
+    opened = params["open_slits"]
+    profile = slits.intensity_profile(geom, params["y_min"], params["y_max"],
+                                      params["n_points"], opened)
+    peaks = slits.refined_maxima(profile)
+    spacing = slits.median_spacing(peaks)
+    summary = {
+        "open_slits": opened,
+        "n_points": params["n_points"],
+        "peak_positions_m": peaks,
+        "fringe_spacing_estimate_m": spacing,
+        "peak_intensity": max(profile.probabilities),
+    }
+    return summary, (("y_m", "probability"), lambda: (
+        map(repr, profile.screen_points), map(repr, profile.probabilities)))
+
+
+def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
+                ) -> Tuple[Dict[str, Any], Table]:
+    triple = tuple(params["triple"])
+    profile, residuals = slits.sorkin_profile(
+        geom, params["y_min"], params["y_max"], params["n_points"], triple)
+    peak = max(profile.probabilities)
+    summary = {
+        "triple": list(triple),
+        "peak_scale": peak,
+        "max_abs_I3": max(map(abs, residuals)),
+    }
+    # I3 is zero up to rounding, so its values repeat: one `repr` each
+    return summary, (("y_m", "I3", "peak_scale"), lambda: (
+        map(repr, profile.screen_points), _float_texts(residuals),
+        repeat(repr(peak))))
+
+
+def _run_delayed(geom: slits.SlitGeometry, params: Dict[str, Any]
+                 ) -> Tuple[Dict[str, Any], None]:
+    detectors = params["detector_y"]
+    report = slits.delayed_choice(geom, detectors)
+    summary = {
+        "detector_y_m": list(detectors),
+        "per_detector_probability": list(report.per_detector_probability),
+        "total": report.total,
+        "interference_part": report.interference_part,
+    }
+    return summary, None
+
+
+def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
+              ) -> Tuple[Dict[str, Any], Table]:
+    report = frequency.convergence_report(space, params["schedule"],
+                                          params["seed"])
+    summary = {
+        "generator": frequency.GENERATOR_ID,
+        "seed": params["seed"],
+        "schedule": list(report.schedule),
+        "phase": params["phase"],
+        "max_errors": list(report.max_errors),
+    }
+    return summary, (("N", "outcome", "estimate", "abs_error"),
+                     lambda: _freq_columns(report, space.labels))
+
+
+def _freq_columns(report: frequency.ConvergenceReport,
+                  labels: Sequence[str]) -> Tuple[Iterable[str], ...]:
+    """The freq CSV's columns, stage by stage, outcomes in `labels` order;
+    all estimates, then all errors, in one `_float_texts` call, since texts
+    repeat (an estimate depends only on its count, and a zero count's error
+    is its true magnitude at every stage)."""
+    cells = list(map(_csv_cell, labels))
+    texts = _float_texts(list(chain.from_iterable(report.estimates
+                                                  + report.errors)))
+    half = len(texts) // 2
+    return (chain.from_iterable(repeat(str(n), len(cells))
+                                for n in report.schedule),
+            chain.from_iterable(repeat(cells, len(report.schedule))),
+            texts[:half], texts[half:])
+
+
+# experiment -> (fields, formats, build, check, run); the first format is
+# the default. build(params) makes the subject, check(subject, params)
+# fills the defaults it gives and calls the kernels' checks, and
+# run(subject, params) returns the summary and the CSV `Table` or None.
+EXPERIMENTS = {
+    "coin": (_SPACE_FIELDS, ("json",), _space, _check_coin, _run_coin),
+    "nslit": ({**_GEOMETRY_FIELDS, **_PROFILE_FIELDS,
+               "open_slits": ("int_list", False, None)},
+              ("csv", "json"), _geometry, _check_nslit, _run_nslit),
+    "sorkin": ({**_GEOMETRY_FIELDS, **_PROFILE_FIELDS,
+                "triple": ("int_list", False, [0, 1, 2])},
+               ("csv", "json"), _geometry, _check_sorkin, _run_sorkin),
+    "delayed": ({**_GEOMETRY_FIELDS,
+                 "detector_y": ("float_list", False, None)},
+                ("json",), _geometry, _check_delayed, _run_delayed),
+    "freq": ({**_SPACE_FIELDS, "schedule": ("int_list", True, None),
+              "seed": ("int", True, None), "phase": ("float", False, 0.0)},
+             ("csv", "json"), _space, _check_freq, _run_freq),
 }
 
 
@@ -92,7 +247,7 @@ def _is_line(text: str) -> bool:
 
 
 def _is_kind(kind: str, value: Any) -> bool:
-    """Whether `value` has the registry `kind` as `parse_config` gives
+    """Whether `value` has the field `kind` as `parse_config` gives
     it: exact types, so a bool is no int and a tuple no list; an int may
     stand for a float, and float64 must hold each float exactly (finite,
     and an int inside its range and precision: `10**400` is no float);
@@ -131,11 +286,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if type(self.experiment) is not str or \
-                self.experiment not in FIELD_REGISTRY:
+                self.experiment not in EXPERIMENTS:
             raise UsageError(f"unknown experiment {shown(self.experiment)}; "
-                             f"expected one of {', '.join(FIELD_REGISTRY)}",
+                             f"expected one of {', '.join(EXPERIMENTS)}",
                              "experiment")
-        fields = FIELD_REGISTRY[self.experiment]
+        fields, formats, build, check, _ = EXPERIMENTS[self.experiment]
         try:
             p = dict(self.params)
         except (TypeError, ValueError):
@@ -156,7 +311,6 @@ class ExperimentConfig:
             elif default is not None:
                 p[key] = list(default) if isinstance(default, list) \
                     else default
-        formats = OUTPUT_FORMATS[self.experiment]
         if self.format is None:
             object.__setattr__(self, "format", formats[0])
         elif self.format not in formats:
@@ -167,33 +321,8 @@ class ExperimentConfig:
             if not _is_line(self.output):
                 raise UsageError(f"output base {self.output!r} does not "
                                  "read back from a config line", "output")
-        if self.experiment in ("coin", "freq"):
-            subject = events.classical_space(p["weights"], p["labels"])
-        else:
-            subject = slits.SlitGeometry(
-                source=(p["source_x"], p["source_y"]),
-                slit_plane_x=p["slit_plane_x"],
-                slit_offsets=tuple(p["slit_offsets"]),
-                screen_plane_x=p["screen_plane_x"],
-                wavelength=p["wavelength"])
-        if self.experiment == "coin":
-            if any(JOINT_KEY_SEP in label for label in p["labels"]):
-                raise UsageError(f"coin labels may not contain "
-                                 f"{JOINT_KEY_SEP!r}, which joins the "
-                                 "joint_table keys", "labels")
-        elif self.experiment == "freq":
-            frequency.check_schedule(p["schedule"], p["seed"])
-        elif self.experiment == "nslit":
-            p.setdefault("open_slits", list(range(subject.n_slits)))
-            slits.check_profile(subject, p["y_min"], p["y_max"],
-                                p["n_points"], p["open_slits"])
-        elif self.experiment == "sorkin":
-            slits.check_triple(subject, p["triple"])
-            slits.check_profile(subject, p["y_min"], p["y_max"],
-                                p["n_points"], p["triple"])
-        else:
-            p.setdefault("detector_y", list(subject.slit_offsets))
-            slits.check_detectors(subject, p["detector_y"])
+        subject = build(p)
+        check(subject, p)
         object.__setattr__(self, "params", p)
         object.__setattr__(self, "subject", subject)
 
@@ -260,7 +389,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "experiment" not in named:
         raise ConfigError("missing required key", "experiment", None)
-    registry = FIELD_REGISTRY.get(named["experiment"], {})
+    fields = EXPERIMENTS.get(named["experiment"], ({},))[0]
 
     params: Dict[str, Any] = {}
     for lineno, key, raw in pending:
@@ -269,13 +398,13 @@ def parse_config(text: str) -> ExperimentConfig:
         if scale != 1.0 and base not in _LENGTHS:
             raise ConfigError("unit suffix only valid on length keys", key,
                               lineno)
-        if base not in registry:
+        if base not in fields:
             params[key] = raw  # `ExperimentConfig` names the unknown key
             continue
         if base in params:
             raise ConfigError(f"key set more than once (suffixed variants "
                               f"alias {base!r})", key, lineno)
-        value = _parse_value(registry[base][0], raw, key, lineno)
+        value = _parse_value(fields[base][0], raw, key, lineno)
         if scale != 1.0:
             value = ([v * scale for v in value] if isinstance(value, list)
                      else value * scale)
@@ -298,7 +427,7 @@ def render_config(config: ExperimentConfig) -> str:
     """Serialize a config so that parse_config(render_config(c)) == c."""
     lines = [f"experiment = {config.experiment}"]
     lines += [f"{key} = {_format_value(config.params[key])}"
-              for key in FIELD_REGISTRY[config.experiment]]
+              for key in EXPERIMENTS[config.experiment][0]]
     if config.output is not None:
         lines.append(f"output = {config.output}")
     lines.append(f"format = {config.format}")

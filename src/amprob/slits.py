@@ -44,13 +44,13 @@ class SlitGeometry:
     wavelength: float
 
     def __post_init__(self) -> None:
-        for key, values in (("wavelength", [self.wavelength]),
-                            ("source_x", self.source[:1]),
-                            ("source_y", self.source[1:]),
-                            ("slit_plane_x", [self.slit_plane_x]),
-                            ("screen_plane_x", [self.screen_plane_x]),
-                            ("slit_offsets", self.slit_offsets)):
-            _floats(values, key)
+        for key, values, ndim in (("wavelength", self.wavelength, 0),
+                                  ("source_x", self.source[:1], 1),
+                                  ("source_y", self.source[1:], 1),
+                                  ("slit_plane_x", self.slit_plane_x, 0),
+                                  ("screen_plane_x", self.screen_plane_x, 0),
+                                  ("slit_offsets", self.slit_offsets, 1)):
+            _floats(values, key, ndim)
         if self.wavelength <= 0 or not math.isfinite(self.wavelength):
             raise UsageError("wavelength must be positive and finite",
                              "wavelength")
@@ -111,13 +111,25 @@ class DetectionReport:
         return classical_space(per, [f"slit_{i}" for i in range(len(per))])
 
 
-def _floats(values: float | Sequence[float], key: str) -> np.ndarray:
-    """`values` as a float64 array; an int beyond float64 raises
-    `UsageError` naming `key`."""
+def _floats(values: float | Sequence[float], key: str,
+            ndim: Optional[int]) -> np.ndarray:
+    """`values`, a real number (`ndim` 0), a sequence of them (`ndim` 1)
+    or either (None), as a float64 array. Anything else raises
+    `UsageError` naming `key`: a str (numeric text included), a ragged
+    sequence, an item that is no real number, or an int beyond float64."""
     try:
-        return np.asarray(values, dtype=float)
+        array = np.asarray(values)
+        if array.dtype.kind not in "biufO" or array.ndim > 1 or \
+                ndim not in (None, array.ndim) or array.dtype == object and \
+                any(isinstance(v, (str, bytes)) for v in array.flat):
+            raise TypeError
+        return array.astype(float, copy=False)
     except OverflowError:  # an int beyond float64
         raise UsageError(f"{key} is beyond float64", key) from None
+    except (TypeError, ValueError):  # numpy's ValueError: a ragged sequence
+        what = "a real number" if ndim == 0 else "real numbers"
+        raise UsageError(f"{key} must be {what}, got {shown(values)}",
+                         key) from None
 
 
 def _leg_cycles(geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int],
@@ -219,7 +231,7 @@ def check_profile(geom: SlitGeometry, y_min: float, y_max: float,
     tuples of Python floats), so one whose floor exceeds the machine's
     physical memory raises `UsageError` naming `n_points`; where
     `os.sysconf` cannot tell that memory, this rule is skipped."""
-    ends = [(key, _floats([y], key))
+    ends = [(key, _floats(y, key, 0).reshape(1))
             for key, y in (("y_min", y_min), ("y_max", y_max))]
     for key, end in ends:
         if not np.isfinite(end[0]):
@@ -259,18 +271,19 @@ def check_triple(geom: SlitGeometry, triple: Sequence[int]) -> list[int]:
 def check_detectors(geom: SlitGeometry, y_detectors: Sequence[float]
                     ) -> None:
     """Argument check of `delayed_choice`."""
-    if len(y_detectors) != geom.n_slits:
+    ys = _floats(y_detectors, "detector_y", 1)
+    if len(ys) != geom.n_slits:
         raise UsageError("need exactly one detector per slit", "detector_y")
-    _leg_cycles(geom, _floats(y_detectors, "detector_y"),
-                range(geom.n_slits), "detector_y")
+    _leg_cycles(geom, ys, range(geom.n_slits), "detector_y")
 
 
 def _screen_points(geom: SlitGeometry, y: float | Sequence[float],
-                   opened: Sequence[int]) -> np.ndarray:
-    """Screen point(s) y as a float64 array, checked finite and within the
-    kernel's phase range for the `opened` slits; a fault raises
-    `UsageError` naming `y`."""
-    ys = _floats(y, "y")
+                   opened: Sequence[int], ndim: Optional[int] = 0
+                   ) -> np.ndarray:
+    """Screen point(s) y as `_floats` reads them with `ndim`, checked
+    finite and within the kernel's phase range for the `opened` slits; a
+    fault raises `UsageError` naming `y`."""
+    ys = _floats(y, "y", ndim)
     if not np.isfinite(ys).all():
         raise UsageError("screen point y must be finite", "y")
     _leg_cycles(geom, ys.reshape(-1), opened, "y")
@@ -281,8 +294,8 @@ def path_amplitude(geom: SlitGeometry, slit: int, y: float) -> PathAmplitude:
     """Two-leg amplitude through one slit to screen point y; both legs have
     magnitude n_slits**-0.25 so the pair multiplies to the per-slit total
     magnitude 1 / sqrt(n_slits)."""
-    opened = _open_list(geom, [slit])
-    ys = _screen_points(geom, [y], opened)
+    opened = _open_list(geom, [slit], "slit")
+    ys = _screen_points(geom, y, opened).reshape(1)
     source, screen = _leg_cycles(geom, ys, opened)
     leg = lambda c: Amplitude.from_polar(geom.n_slits ** -0.25,
                                          2.0 * math.pi * float(c))
@@ -296,15 +309,18 @@ def arrival_probability(geom: SlitGeometry, y: float,
     """Relative intensity at screen point y with the given slits open,
     cross-checked as in `_born`."""
     opened = _open_list(geom, open_slits)
-    ys = _screen_points(geom, [y], opened)
+    ys = _screen_points(geom, y, opened).reshape(1)
     return float(_blockwise(_born, geom, ys, opened)[0])
 
 
 def pairwise_interference(geom: SlitGeometry, y: float, i: int,
                           j: int) -> SignedProbability:
     """Signed cross term between slits i and j at screen point y."""
-    opened = _open_list(geom, (i, j))
-    amps = _amplitudes(geom, _screen_points(geom, [y], opened), opened)
+    opened = _open_list(geom, [i], "i") + _open_list(geom, [j], "j")
+    if opened[0] == opened[1]:
+        raise UsageError("j must differ from i", "j")
+    ys = _screen_points(geom, y, opened).reshape(1)
+    amps = _amplitudes(geom, ys, opened)
     a, b = (Amplitude(z.real, z.imag) for z in amps[0].tolist())
     return interference_term(a, b)
 
@@ -332,7 +348,7 @@ def sorkin_invariant(geom: SlitGeometry, y: float | Sequence[float],
     or at each point of a sequence y (then a tuple of floats); zero to
     rounding, as probabilities hold only self and pairwise terms."""
     opened = check_triple(geom, triple)
-    ys = _screen_points(geom, y, opened)
+    ys = _screen_points(geom, y, opened, None)
     i3 = _sorkin_terms(geom, ys.reshape(-1), triple, opened)[1]
     return float(i3[0]) if ys.ndim == 0 else tuple(i3.tolist())
 

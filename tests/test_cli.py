@@ -459,9 +459,26 @@ def test_summary_names_the_experiment_first(tmp_path, text):
     assert text.startswith(f"experiment = {summary['experiment']}\n")
 
 
-def test_every_table_names_the_same_five_experiments():
-    assert list(config.OUTPUT_FORMATS) == list(config.FIELD_REGISTRY) == \
-        list(cli._RUNNERS) == ["coin", "nslit", "sorkin", "delayed", "freq"]
+def test_a_record_runs_a_table_exactly_when_it_writes_csv():
+    texts = {"coin": COIN, "nslit": NSLIT, "sorkin": SORKIN,
+             "delayed": DELAYED, "freq": FREQ}
+    assert list(config.EXPERIMENTS) == list(texts)
+    for experiment, (_, formats, _, _, run) in config.EXPERIMENTS.items():
+        for fmt in formats:
+            cfg = config.parse_config(f"{texts[experiment]}format = {fmt}\n")
+            _, table = run(cfg.subject, cfg.params)
+            assert (table is not None) == ("csv" in formats), experiment
+
+
+def test_the_digest_configs_write_every_experiment_in_every_format(
+        monkeypatch):
+    # so that no record's output escapes tools/compare_outputs.py
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "tools"))
+    from output_digests import configs
+    written = {(cfg.experiment, cfg.format)
+               for cfg in map(config.parse_config, configs().values())}
+    assert written == {(experiment, fmt) for experiment, record
+                       in config.EXPERIMENTS.items() for fmt in record[1]}
 
 
 def csv_module_text(rows):
@@ -473,7 +490,7 @@ def csv_module_text(rows):
 
 def written_csv(tmp_path, experiment, subject, params):
     """BASE.csv's bytes from one runner's table."""
-    summary, lines = cli._RUNNERS[experiment](subject, params)
+    summary, lines = config.EXPERIMENTS[experiment][4](subject, params)
     paths = cli._write_outputs(tmp_path / experiment, summary, lines, False)
     return paths[1].read_bytes()
 
@@ -621,9 +638,9 @@ def test_float_texts_are_repr(columns):
     xs = [x for column in columns for x in column]
     calls = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x),
+        patch.setattr(config, "repr", lambda x: calls.append(x) or repr(x),
                       raising=False)
-        texts = cli._float_texts(xs)
+        texts = config._float_texts(xs)
     assert texts == list(map(repr, xs))
     # one call per bit pattern of xs, so 0.0 and -0.0 and NaN payloads
     # get their own texts
@@ -634,17 +651,17 @@ def test_float_texts_are_repr(columns):
 
 def test_float_texts_call_repr_once_per_new_bit_pattern(monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x),
+    monkeypatch.setattr(config, "repr", lambda x: calls.append(x) or repr(x),
                         raising=False)
-    texts = cli._float_texts([0.5, -0.0, 0.5, 0.0, -0.0, 0.25, 0.5, 0.25])
+    texts = config._float_texts([0.5, -0.0, 0.5, 0.0, -0.0, 0.25, 0.5, 0.25])
     assert texts == ["0.5", "-0.0", "0.5", "0.0", "-0.0", "0.25", "0.5",
                      "0.25"]
     assert sorted(map(repr, calls)) == ["-0.0", "0.0", "0.25", "0.5"]
     nan1, nan2 = from_bits(0x7FF8000000000001), from_bits(0xFFF8000000000002)
-    assert cli._float_texts([nan1, nan2, nan1]) == ["nan"] * 3
+    assert config._float_texts([nan1, nan2, nan1]) == ["nan"] * 3
     assert len(calls) == 6
     # no call remembers another's texts: -0.0 is formatted again
-    assert cli._float_texts([-0.0]) == ["-0.0"]
+    assert config._float_texts([-0.0]) == ["-0.0"]
     assert len(calls) == 7
 
 
@@ -653,7 +670,7 @@ def test_freq_rows_format_each_float_of_the_table_once(tmp_path,
     # 0.125 is in stages 1 and 3 but not in stage 2, so a memo of the
     # previous stage alone would format it twice
     calls = []
-    monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x),
+    monkeypatch.setattr(config, "repr", lambda x: calls.append(x) or repr(x),
                         raising=False)
     estimates = ((0.125, 0.875), (0.25, 0.75), (0.5, 0.125))
     errors = ((0.375, 0.375), (0.25, 0.25), (-0.0, 0.0))
@@ -677,7 +694,7 @@ def test_freq_run_formats_a_zero_counts_error_once(tmp_path, monkeypatch):
     # estimate is 1.0 with the same error each time, so only the first
     # stage formats floats
     calls = []
-    monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x),
+    monkeypatch.setattr(config, "repr", lambda x: calls.append(x) or repr(x),
                         raising=False)
     text = ("experiment = freq\nweights = 1e-12, 2e-12, 1\n"
             "labels = a, b, c\nschedule = 10, 100, 1000\nseed = 4\n")
@@ -835,7 +852,7 @@ def test_coin_summary_is_one_guess_game(monkeypatch):
                           probabilities(self))
             patch.setattr(events.GuessStatistics, "joint_table",
                           property(never_read))
-            summary, rows = cli._run_coin(space, {})
+            summary, rows = config._run_coin(space, {})
         assert calls == [space]  # guess_game's own call, and no other
         assert rows is None
         assert summary["probabilities"] == stats.probabilities
@@ -849,8 +866,8 @@ def test_coin_summary_is_one_guess_game(monkeypatch):
 @pytest.mark.parametrize("text", [SORKIN, FREQ], ids=["sorkin", "freq"])
 def test_json_run_formats_no_csv_row(tmp_path, monkeypatch, text):
     calls = []
-    real = cli._float_texts
-    monkeypatch.setattr(cli, "_float_texts",
+    real = config._float_texts
+    monkeypatch.setattr(config, "_float_texts",
                         lambda values: calls.append(1) or real(values))
     code, out = run_cli(tmp_path, text + "format = json\n")
     assert code == 0 and calls == []

@@ -5,7 +5,7 @@ from amprob import (ConfigError, SampleSpace, SlitGeometry, UsageError,
                     amplitude_from_frequency, arrival_probability,
                     classical_space, event_probability, outcome_probability,
                     record_trials)
-from amprob.config import (FIELD_REGISTRY, ExperimentConfig, _parse_value,
+from amprob.config import (EXPERIMENTS, ExperimentConfig, _parse_value,
                            parse_config, render_config)
 from test_acceptance import INVALID_CONFIGS, VALID_CONFIGS
 
@@ -316,7 +316,7 @@ DEFAULTS = {"source_y": 0.0, "slit_plane_x": 0.0, "open_slits": [0, 1, 2],
             "phase": 0.0}
 
 
-@pytest.mark.parametrize("experiment", list(FIELD_REGISTRY))
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
 def test_config_fills_every_key_parsed_or_built(experiment):
     params = REQUIRED_PARAMS[experiment]
     text = f"experiment = {experiment}\n" + "".join(
@@ -326,7 +326,7 @@ def test_config_fills_every_key_parsed_or_built(experiment):
     assert params == REQUIRED_PARAMS[experiment]  # the caller's copy
     for cfg in (built, parse_config(text)):
         assert cfg == built
-        assert set(cfg.params) == set(FIELD_REGISTRY[experiment])
+        assert set(cfg.params) == set(EXPERIMENTS[experiment][0])
         assert cfg.params == {**params, **{key: DEFAULTS[key] for key in
                                            cfg.params if key not in params}}
         assert parse_config(render_config(cfg)) == cfg
@@ -456,7 +456,7 @@ FOREIGN_KEYS = {"coin": "seed", "nslit": "triple", "sorkin": "open_slits",
                 "delayed": "y_min", "freq": "wavelength"}
 
 
-@pytest.mark.parametrize("experiment", list(FIELD_REGISTRY))
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
 @pytest.mark.parametrize("foreign", [False, True], ids=["bogus", "foreign"])
 def test_an_unknown_key_is_named_parsed_or_built(experiment, foreign):
     key = FOREIGN_KEYS[experiment] if foreign else "bogus"
@@ -506,8 +506,8 @@ SCALES = {"_nm": 1e-9, "_um": 1e-6, "_mm": 1e-3}
 
 
 @pytest.mark.parametrize("experiment, key, suffix", [
-    (experiment, key, suffix) for experiment in FIELD_REGISTRY
-    for key in FIELD_REGISTRY[experiment] for suffix in SCALES])
+    (experiment, key, suffix) for experiment in EXPERIMENTS
+    for key in EXPERIMENTS[experiment][0] for suffix in SCALES])
 def test_a_unit_suffix_is_taken_by_length_keys_only(experiment, key,
                                                     suffix):
     cfg = ExperimentConfig(experiment, REQUIRED_PARAMS[experiment])
@@ -534,8 +534,8 @@ def test_a_unit_suffix_is_taken_by_length_keys_only(experiment, key,
 
 
 # Each experiment's keys of a float kind, scalar and list.
-FLOAT_KEYS = [(experiment, key) for experiment in FIELD_REGISTRY
-              for key, (kind, _, _) in FIELD_REGISTRY[experiment].items()
+FLOAT_KEYS = [(experiment, key) for experiment in EXPERIMENTS
+              for key, (kind, _, _) in EXPERIMENTS[experiment][0].items()
               if kind in ("float", "float_list")]
 
 

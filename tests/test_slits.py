@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +89,9 @@ class TestGeometryValidation:
         with pytest.raises(UsageError) as exc:
             intensity_profile(geom, -0.01, 0.01, 11, [1, 1])
         assert exc.value.key == "open_slits"
+        with pytest.raises(UsageError, match="j must differ from i") as exc:
+            pairwise_interference(geom, 0.0, 1, 1)
+        assert exc.value.key == "j"
 
     def test_kernel_argument_checks_name_their_key(self):
         geom = two_slit()
@@ -631,8 +636,12 @@ def test_sorkin_terms_take_four_born_calls_per_block(monkeypatch):
 @pytest.mark.parametrize("y, match", [(math.nan, "finite"),
                                       (math.inf, "finite"),
                                       (-math.inf, "finite"),
-                                      (1e10, "2\\*\\*52")],
-                         ids=["nan", "inf", "-inf", "1e10"])
+                                      (1e10, "2\\*\\*52"),
+                                      ("0.0", "real number"),
+                                      ({}, "real number"),
+                                      ([[0.0], 0.0], "real number")],
+                         ids=["nan", "inf", "-inf", "1e10", "numeric_text",
+                              "dict", "ragged"])
 @pytest.mark.parametrize("call", [
     lambda geom, y: arrival_probability(geom, y, [0, 2]),
     lambda geom, y: path_amplitude(geom, 1, y),
@@ -752,7 +761,15 @@ THREE_SLITS = SlitGeometry((-1.0, 0.0), 0.0, (-1e-5, 0.0, 1e-5), 1.0,
     (0.0, math.nan, 10, "y_max"),  # before the order rule
     (-0.1, 0.1, 10.0, "n_points"),  # before numpy reads it
     (-0.1, 0.1, "10", "n_points"),
-], ids=["-inf", "inf", "nan_min", "nan_max", "float_n", "str_n"])
+    ("a", 0.1, 10, "y_min"),
+    ("-0.1", "0.1", 10, "y_min"),  # numeric text is no number either
+    (-0.1, "0.1", 10, "y_max"),
+    ([[-0.1], -0.1], 0.1, 10, "y_min"),
+    (-0.1, {}, 10, "y_max"),
+    ([-0.1], 0.1, 10, "y_min"),
+], ids=["-inf", "inf", "nan_min", "nan_max", "float_n", "str_n", "str_min",
+        "numeric_text", "numeric_text_max", "ragged_min", "dict_max",
+        "list_min"])
 @pytest.mark.parametrize("call", [
     lambda geom, *grid: intensity_profile(geom, *grid),
     lambda geom, *grid: slits.sorkin_profile(geom, *grid, (0, 1, 2)),
@@ -763,18 +780,45 @@ def test_a_bad_grid_is_named_by_its_key(call, y_min, y_max, n_points, key):
     assert exc.value.key == key
 
 
+@pytest.mark.parametrize("value", [
+    "5e-07", [[5e-7], 5e-7], {}, [[5e-7]],
+    [Fraction(1, 10 ** 7), "5e-07"],  # numpy keeps both as objects
+], ids=["numeric_text", "ragged", "dict", "nested", "text_item"])
+@pytest.mark.parametrize("call, key", [
+    (lambda v: dataclasses.replace(two_slit(), wavelength=v), "wavelength"),
+    (lambda v: dataclasses.replace(two_slit(), source=(v, 0.0)), "source_x"),
+    (lambda v: dataclasses.replace(two_slit(), source=(-1.0, v)), "source_y"),
+    (lambda v: dataclasses.replace(two_slit(), slit_plane_x=v),
+     "slit_plane_x"),
+    (lambda v: dataclasses.replace(two_slit(), screen_plane_x=v),
+     "screen_plane_x"),
+    (lambda v: dataclasses.replace(two_slit(), slit_offsets=v),
+     "slit_offsets"),
+    (lambda v: slits.check_detectors(two_slit(), v), "detector_y"),
+    (lambda v: delayed_choice(two_slit(), v), "detector_y"),
+], ids=["wavelength", "source_x", "source_y", "slit_plane_x",
+        "screen_plane_x", "slit_offsets", "check_detectors",
+        "delayed_choice"])
+def test_a_bad_geometry_or_detector_is_named_by_its_key(call, key, value):
+    with pytest.raises(UsageError, match="real number") as exc:
+        call(value)
+    assert exc.value.key == key
+
+
 @pytest.mark.parametrize("index", [1.0, 0.5, "1", None])
 @pytest.mark.parametrize("call, key", [
     (lambda geom, i: intensity_profile(geom, -0.1, 0.1, 11, [0, i]),
      "open_slits"),
     (lambda geom, i: arrival_probability(geom, 0.0, [i, 2]), "open_slits"),
-    (lambda geom, i: path_amplitude(geom, i, 0.0), "open_slits"),
-    (lambda geom, i: pairwise_interference(geom, 0.0, i, 2), "open_slits"),
+    (lambda geom, i: path_amplitude(geom, i, 0.0), "slit"),
+    (lambda geom, i: pairwise_interference(geom, 0.0, i, 2), "i"),
+    (lambda geom, i: pairwise_interference(geom, 0.0, 2, i), "j"),
     (lambda geom, i: sorkin_invariant(geom, 0.0, (0, i, 2)), "triple"),
     (lambda geom, i: slits.sorkin_profile(geom, -0.1, 0.1, 11, (0, i, 2)),
      "triple"),
 ], ids=["intensity_profile", "arrival_probability", "path_amplitude",
-        "pairwise_interference", "sorkin_invariant", "sorkin_profile"])
+        "pairwise_interference", "pairwise_interference_j",
+        "sorkin_invariant", "sorkin_profile"])
 def test_a_slit_index_must_be_an_int(call, key, index):
     # before any index reaches the kernel's tuple of slit offsets
     with pytest.raises(UsageError, match="not an int") as exc:
