@@ -4,7 +4,10 @@
 configured experiment with the runner of its `config.EXPERIMENTS` record
 and writes `BASE.json` (always) plus `BASE.csv` for a tabular experiment
 whose format is csv: the runner hands over its named columns, and
-`_write_outputs` alone writes the rows. `amprob validate --config FILE`
+`_write_outputs` alone writes the rows. A summary value may also come
+encoded, as an iterator of JSON object members (the coin's n x n
+`joint_table`, one text per call row), which the writer passes through
+as it comes, so no n²-entry dict is built. `amprob validate --config FILE`
 parses only. `python -m amprob` (or `python -m amprob.cli`) runs the same
 tool; the argument parser is built once, when this module is imported.
 
@@ -23,8 +26,8 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
-from .config import (EXPERIMENTS, ExperimentConfig, Table, check_output,
-                     parse_config)
+from .config import (EXPERIMENTS, JSON_MEMBER_SEP, ExperimentConfig, Table,
+                     check_output, parse_config)
 from .errors import ConfigError, InvariantError, UsageError
 
 EXIT_OK = 0
@@ -41,7 +44,10 @@ def _json_chunks(summary: Dict[str, Any]) -> Iterator[str]:
     """The text of `json.dumps(summary, indent=2)` in pieces, from calls to
     the C encoder (which `indent` turns off): a non-empty list or dict of
     scalars is encoded in one call, with the newline and indent in the item
-    separator; anything else takes the pure-Python encoder."""
+    separator; an iterator stands for a dict and yields its members already
+    encoded, as `"key": value` texts joined by `JSON_MEMBER_SEP`, which are
+    written as they come (an empty one as `{}`); anything else takes the
+    pure-Python encoder."""
     if not summary:
         yield "{}"
         return
@@ -49,11 +55,18 @@ def _json_chunks(summary: Dict[str, Any]) -> Iterator[str]:
     for key, value in summary.items():
         yield f"{sep}{json.dumps(key)}: "
         sep = ",\n  "
+        if isinstance(value, Iterator):
+            opening = "{\n    "
+            for members in value:
+                yield opening + members
+                opening = JSON_MEMBER_SEP
+            yield "\n  }" if opening == JSON_MEMBER_SEP else "{}"
+            continue
         is_dict = isinstance(value, dict)
         if isinstance(value, (list, dict)) and value and \
                 _JSON_SCALARS.issuperset(map(type, value.values() if is_dict
                                              else value)):
-            text = json.dumps(value, separators=(",\n    ", ": "))
+            text = json.dumps(value, separators=(JSON_MEMBER_SEP, ": "))
             yield f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
         else:
             yield json.dumps(value, indent=2).replace("\n", "\n  ")

@@ -16,7 +16,9 @@ rule lives in the domain code that owns it.
 
 from __future__ import annotations
 
-import sys
+import json
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, repeat
@@ -31,6 +33,9 @@ from .errors import ConfigError, UsageError, shown
 
 # Joins a (call, fall) pair into one key of the coin's joint_table.
 JOINT_KEY_SEP = "*"
+# Between the members of an object nested in a summary, as
+# `json.dumps(summary, indent=2)` writes them.
+JSON_MEMBER_SEP = ",\n    "
 
 _UNIT_SUFFIXES = {"_nm": 1e-9, "_um": 1e-6, "_mm": 1e-3}
 # scalar kind -> the exact types its values may have
@@ -114,29 +119,49 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _float_texts(values: Sequence[float]) -> List[str]:
-    """`list(map(repr, values))`, calling `repr` once per float64 bit
-    pattern, so `-0.0` and `0.0`, and NaN payloads, keep their own texts."""
-    bits, inverse = np.unique(np.asarray(values, dtype=np.float64)
-                              .view(np.int64), return_inverse=True)
+def _float_texts(values: Any) -> List[Any]:
+    """`repr` of each float64 of `values`, an array or nested sequence of
+    floats, as `tolist` nests them (so a 1-D input gives a flat list),
+    calling `repr` once per bit pattern over the whole input, so `-0.0`
+    and `0.0`, and NaN payloads, keep their own texts."""
+    values = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array(list(map(repr, bits.view(np.float64).tolist())),
                      dtype=object)
-    return texts[inverse].tolist()
+    return texts[inverse.reshape(values.shape)].tolist()
 
 
 def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
               ) -> Tuple[Dict[str, Any], None]:
+    """The guess game's summary. Its `joint_table` goes to the writer as
+    an iterator of encoded JSON members, one text per call row, in the key
+    order of `GuessStatistics.joint_table`: the products `p_call * p_fall`
+    are one `np.multiply.outer` (the same IEEE products), formatted by one
+    `_float_texts` call, and each label is escaped once by `json.dumps`."""
     stats = events.guess_game(space)
-    probs = stats.probabilities.items()
+    probs = stats.probabilities
+    p = np.fromiter(probs.values(), np.float64, len(probs))
+    texts = _float_texts(np.multiply.outer(p, p))
     summary = {
         "labels": list(space.labels),
-        "probabilities": stats.probabilities,
+        "probabilities": probs,
         "p_correct": stats.p_correct,
-        # the products of GuessStatistics' joint table, in its key order
-        "joint_table": {f"{call}{JOINT_KEY_SEP}{fall}": p_call * p_fall
-                        for call, p_call in probs for fall, p_fall in probs},
+        "joint_table": _joint_rows(space.labels, texts),
     }
     return summary, None
+
+
+def _joint_rows(labels: Iterable[str], texts: List[List[str]]
+                ) -> Iterator[str]:
+    """Row i of the joint table as `"call*fall": text` members joined by
+    `JSON_MEMBER_SEP`; a key's escapes are its two labels' escapes, since
+    `json.dumps` escapes each character alone and `*` needs none."""
+    quoted = list(map(json.dumps, labels))
+    falls = [f"{q[1:]}: " for q in quoted]
+    for q, row in zip(quoted, texts):
+        call = q[:-1] + JOINT_KEY_SEP
+        yield call + (JSON_MEMBER_SEP + call).join(map(operator.add, falls,
+                                                       row))
 
 
 def _run_nslit(geom: slits.SlitGeometry, params: Dict[str, Any]
@@ -209,19 +234,21 @@ def _freq_columns(report: frequency.ConvergenceReport,
     repeat (an estimate depends only on its count, and a zero count's error
     is its true magnitude at every stage)."""
     cells = list(map(_csv_cell, labels))
-    texts = _float_texts(list(chain.from_iterable(report.estimates
-                                                  + report.errors)))
-    half = len(texts) // 2
+    stages = len(report.schedule)
+    texts = _float_texts(report.estimates + report.errors)
     return (chain.from_iterable(repeat(str(n), len(cells))
                                 for n in report.schedule),
-            chain.from_iterable(repeat(cells, len(report.schedule))),
-            texts[:half], texts[half:])
+            chain.from_iterable(repeat(cells, stages)),
+            chain.from_iterable(texts[:stages]),
+            chain.from_iterable(texts[stages:]))
 
 
 # experiment -> (fields, formats, build, check, run); the first format is
 # the default. build(params) makes the subject, check(subject, params)
 # fills the defaults it gives and calls the kernels' checks, and
-# run(subject, params) returns the summary and the CSV `Table` or None.
+# run(subject, params) returns the summary and the CSV `Table` or None; a
+# summary value may be an iterator of encoded JSON members, as
+# `cli._json_chunks` takes it.
 EXPERIMENTS = {
     "coin": (_SPACE_FIELDS, ("json",), _space, _check_coin, _run_coin),
     "nslit": ({**_GEOMETRY_FIELDS, **_PROFILE_FIELDS,
@@ -259,9 +286,15 @@ def _is_kind(kind: str, value: Any) -> bool:
     scalar = kind.removesuffix("_list")
     if not set(map(type, items)) <= _KIND_TYPES[scalar]:
         return False
-    if scalar != "str":
-        return scalar == "int" or all(
-            abs(v) <= sys.float_info.max and float(v) == v for v in items)
+    if scalar == "int":
+        return True
+    if scalar == "float":
+        try:  # float() of an int beyond float64 overflows
+            floats = list(map(float, items))
+        except OverflowError:
+            return False
+        # an item that float() rounds compares unequal to its float
+        return floats == items and all(map(math.isfinite, floats))
     text = ", ".join(items)
     return _is_line(text) and (not is_list or
                                list(map(str.strip, text.split(","))) == items)

@@ -181,9 +181,12 @@ def classical_space(weights: Sequence[float],
     magnitude sqrt(w_i / sum w) at phase 0. The quotients are Python's,
     rounded once from the exact weights (ints beyond 2**53 included); the
     space makes its amplitudes tuple when first read."""
-    if any(not 0 <= w <= sys.float_info.max for w in weights):
+    # min and max pass over a NaN unless it comes first, so past them a
+    # NaN is all that can be out of range, and it makes the sum NaN
+    if not (min(weights, default=0) >= 0 and
+            max(weights, default=0) <= sys.float_info.max) or \
+            (total := sum(weights)) != total:
         raise UsageError("weights must be finite and non-negative", "weights")
-    total = sum(weights)
     if not 0 < total < math.inf:
         raise UsageError("weights must have a positive sum that float64 "
                          "can hold", "weights")

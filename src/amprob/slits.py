@@ -35,7 +35,9 @@ _BYTES_PER_POINT = 72
 
 @dataclass(frozen=True)
 class SlitGeometry:
-    """Planar geometry: x is the optical axis, y the transverse direction."""
+    """Planar geometry: x is the optical axis, y the transverse direction.
+    A bad argument raises `UsageError` naming its key: `source`, unless
+    it is a tuple or list of two items, else `source_x` or `source_y`."""
 
     source: Tuple[float, float]
     slit_plane_x: float
@@ -44,6 +46,10 @@ class SlitGeometry:
     wavelength: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.source, (tuple, list)) or \
+                len(self.source) != 2:
+            raise UsageError("source must be a pair of real numbers, got "
+                             f"{shown(self.source)}", "source")
         for key, values, ndim in (("wavelength", self.wavelength, 0),
                                   ("source_x", self.source[:1], 1),
                                   ("source_y", self.source[1:], 1),

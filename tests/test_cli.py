@@ -717,16 +717,34 @@ JSON_VALUES = st.one_of(
                     max_size=3))
 
 
+def streamed(table, per_text):
+    """TABLE, a dict of scalars, as `cli._json_chunks` also takes it: an
+    iterator of its `json.dumps`-encoded members, PER_TEXT to a text."""
+    members = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in table.items()]
+    return (config.JSON_MEMBER_SEP.join(members[i:i + per_text])
+            for i in range(0, len(members), per_text))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.text(), JSON_VALUES, max_size=6))
-@example({})
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=6),
+       st.integers(1, 4))
+@example({}, 1)
 @example({"ключ": [], "b": {}, "c": None, "ü": {"é\n\"": 1.5, "": [0.1]},
-          "d": [-0.0, 5e-324, 1e16, float("nan"), "☃"]})
+          "d": [-0.0, 5e-324, 1e16, float("nan"), "☃"],
+          "e": {"x": 1, "y\\": -0.0, "☃": "\u2028", "z": None}}, 2)
 @example({"long": list(range(1025)), "wide": {f"k{i}": i / 3 for i in range(
-    1100)}})
-def test_json_chunks_are_json_indent_2(summary):
-    assert "".join(cli._json_chunks(summary)) == \
-        json.dumps(summary, indent=2)
+    1100)}}, 3)
+def test_json_chunks_are_json_indent_2(summary, per_text):
+    expected = json.dumps(summary, indent=2)
+    assert "".join(cli._json_chunks(summary)) == expected
+    # each dict of scalars again, as an iterator of encoded members (an
+    # empty one included, which reads `{}`)
+    scalar_dicts = [key for key, value in summary.items()
+                    if isinstance(value, dict) and not any(
+                        isinstance(v, list) for v in value.values())]
+    summary.update((key, streamed(summary[key], per_text))
+                   for key in scalar_dicts)
+    assert "".join(cli._json_chunks(summary)) == expected
 
 
 @pytest.mark.parametrize("text", [
@@ -853,14 +871,53 @@ def test_coin_summary_is_one_guess_game(monkeypatch):
             patch.setattr(events.GuessStatistics, "joint_table",
                           property(never_read))
             summary, rows = config._run_coin(space, {})
+            written = json.loads("".join(cli._json_chunks(summary)))
         assert calls == [space]  # guess_game's own call, and no other
         assert rows is None
         assert summary["probabilities"] == stats.probabilities
         assert summary["p_correct"] == stats.p_correct
-        assert list(summary["joint_table"]) == list(table) == [
+        assert list(written["joint_table"]) == list(table) == [
             f"{c}*{f}" for c in space.labels for f in space.labels]
-        assert float_bits(summary["joint_table"].values()) == \
+        assert float_bits(written["joint_table"].values()) == \
             float_bits(table.values())
+
+
+def old_coin_summary(space):
+    """The coin summary as it was before its joint table was streamed: a
+    dict of `"call*fall"` keys and Python's `p_call * p_fall`."""
+    stats = events.guess_game(space)
+    probs = stats.probabilities
+    return {"experiment": "coin", "labels": list(space.labels),
+            "probabilities": probs, "p_correct": stats.p_correct,
+            "joint_table": {f"{c}*{f}": probs[c] * probs[f]
+                            for c in probs for f in probs}}
+
+
+# labels that JSON escapes: quote, backslash, control characters, a line
+# separator, a lone surrogate and characters beyond ASCII and the BMP; no
+# `*`, which coin labels may not hold (labels `a*` and `b` would make the
+# key `a**b`, as `a` and `*b` do)
+JSON_LABELS = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é☃'
+                                                "\ud800\U0001F600"),
+                                st.characters(exclude_characters="*")),
+                      min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([0, 0.0, 1, 2.5, 1e-300]),
+                                    st.floats(0, 1e6)), JSON_LABELS),
+                min_size=1, max_size=12, unique_by=lambda o: o[1])
+       .filter(lambda outcomes: sum(w for w, _ in outcomes) > 0))
+@example([(5.0, "one")])
+@example([(0, 'say "hi"'), (1, "a\\b"), (0, "é"), (1, "☃"), (2, "tab\tin"),
+          (2, "\x01")])
+def test_streamed_joint_table_is_the_old_dict_written(outcomes):
+    # repeated and zero weights, n = 1 included
+    weights, labels = zip(*outcomes)
+    space = events.classical_space(weights, labels)
+    summary = {"experiment": "coin", **config._run_coin(space, {})[0]}
+    assert "".join(cli._json_chunks(summary)) == \
+        json.dumps(old_coin_summary(space), indent=2)
 
 
 @pytest.mark.parametrize("text", [SORKIN, FREQ], ids=["sorkin", "freq"])

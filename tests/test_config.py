@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -354,6 +356,8 @@ def test_direct_config_names_a_missing_key():
     ("nslit", "y_max", None),
     ("sorkin", "triple", [0, 1, 2.0]),
     ("delayed", "detector_y", 0.0),
+    ("coin", "weights", [1.0, float("nan")]),
+    ("coin", "weights", [1, int(sys.float_info.max) + 1]),
 ])
 def test_direct_config_names_a_value_of_the_wrong_kind(experiment, key,
                                                         value):

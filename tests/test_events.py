@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import sys
 import time
 import tracemalloc
 
@@ -522,11 +523,14 @@ def test_normalize_of_any_finite_non_null_space_is_normalized(parts):
 
 
 @pytest.mark.parametrize("weight", [2 ** 1100, 10 ** 400, -1, float("nan"),
-                                    float("inf")])
+                                    float("inf"),
+                                    int(sys.float_info.max) + 1])
 def test_classical_space_rejects_a_weight_float64_cannot_hold(weight):
-    with pytest.raises(UsageError, match="finite and non-negative") as exc:
-        classical_space([weight, 1], ["a", "b"])
-    assert exc.value.key == "weights"
+    for weights in ([weight, 1], [1, weight]):
+        with pytest.raises(UsageError,
+                           match="finite and non-negative") as exc:
+            classical_space(weights, ["a", "b"])
+        assert exc.value.key == "weights"
 
 
 def eager_joint_table(space):

@@ -780,25 +780,47 @@ def test_a_bad_grid_is_named_by_its_key(call, y_min, y_max, n_points, key):
     assert exc.value.key == key
 
 
-@pytest.mark.parametrize("value", [
-    "5e-07", [[5e-7], 5e-7], {}, [[5e-7]],
-    [Fraction(1, 10 ** 7), "5e-07"],  # numpy keeps both as objects
-], ids=["numeric_text", "ragged", "dict", "nested", "text_item"])
-@pytest.mark.parametrize("call, key", [
-    (lambda v: dataclasses.replace(two_slit(), wavelength=v), "wavelength"),
-    (lambda v: dataclasses.replace(two_slit(), source=(v, 0.0)), "source_x"),
-    (lambda v: dataclasses.replace(two_slit(), source=(-1.0, v)), "source_y"),
-    (lambda v: dataclasses.replace(two_slit(), slit_plane_x=v),
-     "slit_plane_x"),
-    (lambda v: dataclasses.replace(two_slit(), screen_plane_x=v),
-     "screen_plane_x"),
-    (lambda v: dataclasses.replace(two_slit(), slit_offsets=v),
-     "slit_offsets"),
-    (lambda v: slits.check_detectors(two_slit(), v), "detector_y"),
-    (lambda v: delayed_choice(two_slit(), v), "detector_y"),
-], ids=["wavelength", "source_x", "source_y", "slit_plane_x",
-        "screen_plane_x", "slit_offsets", "check_detectors",
-        "delayed_choice"])
+BAD_REALS = {
+    "numeric_text": "5e-07", "ragged": [[5e-7], 5e-7], "dict": {},
+    "nested": [[5e-7]],
+    # numpy keeps both as objects
+    "text_item": [Fraction(1, 10 ** 7), "5e-07"],
+}
+REAL_ARGUMENTS = {
+    "wavelength": (lambda v: dataclasses.replace(two_slit(), wavelength=v),
+                   "wavelength"),
+    "source_x": (lambda v: dataclasses.replace(two_slit(), source=(v, 0.0)),
+                 "source_x"),
+    "source_y": (lambda v: dataclasses.replace(two_slit(), source=(-1.0, v)),
+                 "source_y"),
+    "slit_plane_x": (lambda v: dataclasses.replace(two_slit(),
+                                                   slit_plane_x=v),
+                     "slit_plane_x"),
+    "screen_plane_x": (lambda v: dataclasses.replace(two_slit(),
+                                                     screen_plane_x=v),
+                       "screen_plane_x"),
+    "slit_offsets": (lambda v: dataclasses.replace(two_slit(),
+                                                   slit_offsets=v),
+                     "slit_offsets"),
+    "check_detectors": (lambda v: slits.check_detectors(two_slit(), v),
+                        "detector_y"),
+    "delayed_choice": (lambda v: delayed_choice(two_slit(), v),
+                       "detector_y"),
+}
+# a source that is no pair of items
+BAD_SOURCES = {"one_item": (-1.0,), "three_items": (-1.0, 0.0, 5.0),
+               "number": -1.0, "text": "ab"}
+
+
+@pytest.mark.parametrize("call, key, value", [
+    pytest.param(call, key, value, id=f"{name}-{value_id}")
+    for name, (call, key) in REAL_ARGUMENTS.items()
+    for value_id, value in BAD_REALS.items()
+] + [
+    pytest.param(lambda v: dataclasses.replace(two_slit(), source=v),
+                 "source", value, id=f"source-{value_id}")
+    for value_id, value in BAD_SOURCES.items()
+])
 def test_a_bad_geometry_or_detector_is_named_by_its_key(call, key, value):
     with pytest.raises(UsageError, match="real number") as exc:
         call(value)

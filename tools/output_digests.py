@@ -14,14 +14,16 @@ division of the two counts rounded to float64), sorkin with an unsorted
 triple, the seed-2**64-1 freq and the unsorted sorkin again with
 `format = json`, nslit and sorkin configs that give every length key
 with a unit suffix, freq with a `"` inside a label, a 150-outcome coin
-(a 22,500-entry `joint_table`), a 2,000-outcome freq with a `"` in one label,
-30 seeded random nslit configs, 10 seeded random sorkin configs (3-8
-slits, unsorted triples, up to 10**4 points), 10 seeded random coin
-configs (2-150 outcomes), 10 seeded random freq configs (2-10**4
-outcomes, 2-4 stages, half with a phase) and 10 seeded random delayed
-configs (1-8 slits, some with `source_y` or `slit_plane_x`; half leave
-`detector_y` to its default, half give it in `_um` or `_mm`); the random
-weights are full `repr` floats, about 5 % of them 0. 151 files in all.
+(a 22,500-entry `joint_table`), a coin whose labels JSON escapes (`"`,
+`\\`, a tab, `é`, `☃`) with repeated and zero weights, a 2,000-outcome
+freq with a `"` in one label, 30 seeded random nslit configs, 10 seeded
+random sorkin configs (3-8 slits, unsorted triples, up to 10**4
+points), 10 seeded random coin configs (2-150 outcomes), 10 seeded
+random freq configs (2-10**4 outcomes, 2-4 stages, half with a phase)
+and 10 seeded random delayed configs (1-8 slits, some with `source_y`
+or `slit_plane_x`; half leave `detector_y` to its default, half give it
+in `_um` or `_mm`); the random weights are full `repr` floats, about 5 %
+of them 0. 152 files in all.
 Exits 1 if any run fails.
 
 To check that the working tree writes the same bytes as a commit (here
@@ -173,6 +175,8 @@ def configs() -> Dict[str, str]:
         "experiment = coin\n"
         f"weights = {', '.join(str(1 + i % 7) for i in range(150))}\n"
         f"labels = {', '.join(f'o{i}' for i in range(150))}\n")
+    named["coin_escapes"] = ("experiment = coin\nweights = 2, 0, 2, 1, 0\n"
+                             "labels = say \"hi\", a\\b, tab\tin, é, ☃\n")
     named["freq_2000_quote"] = (
         "experiment = freq\n"
         f"weights = {', '.join(str(1 + i % 5) for i in range(2000))}\n"
