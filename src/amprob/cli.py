@@ -26,8 +26,8 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
-from .config import (EXPERIMENTS, JSON_MEMBER_SEP, ExperimentConfig, Table,
-                     check_output, parse_config)
+from .config import (EXPERIMENTS, ITEMS_PER_WRITE, JSON_MEMBER_SEP,
+                     ExperimentConfig, Table, check_output, parse_config)
 from .errors import ConfigError, InvariantError, UsageError
 
 EXIT_OK = 0
@@ -35,8 +35,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-# CSV rows joined per write, so that memory stays flat
-_ITEMS_PER_WRITE = 512
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
@@ -90,7 +88,7 @@ def _write_outputs(base: Path, summary: Dict[str, Any],
         rows = map(",".join, chain([header], zip(*columns())))
         written.append(base.with_name(base.name + ".csv"))
         with open(written[1], "w", encoding="utf-8", newline="") as fh:
-            while chunk := list(islice(rows, _ITEMS_PER_WRITE)):
+            while chunk := list(islice(rows, ITEMS_PER_WRITE)):
                 fh.write("\n".join(chunk) + "\n")
     return written
 

@@ -36,6 +36,8 @@ JOINT_KEY_SEP = "*"
 # Between the members of an object nested in a summary, as
 # `json.dumps(summary, indent=2)` writes them.
 JSON_MEMBER_SEP = ",\n    "
+# CSV rows per write, and floats per `tolist` of a result array
+ITEMS_PER_WRITE = 512
 
 _UNIT_SUFFIXES = {"_nm": 1e-9, "_um": 1e-6, "_mm": 1e-3}
 # scalar kind -> the exact types its values may have
@@ -131,6 +133,12 @@ def _float_texts(values: Any) -> List[Any]:
     return texts[inverse.reshape(values.shape)].tolist()
 
 
+def _reprs(a: np.ndarray) -> Iterator[str]:
+    """`repr` of each float of a 1-D array, `ITEMS_PER_WRITE` at a time."""
+    return chain.from_iterable(map(repr, a[i:i + ITEMS_PER_WRITE].tolist())
+                               for i in range(0, len(a), ITEMS_PER_WRITE))
+
+
 def _run_coin(space: events.SampleSpace, params: Dict[str, Any]
               ) -> Tuple[Dict[str, Any], None]:
     """The guess game's summary. Its `joint_table` goes to the writer as
@@ -176,10 +184,10 @@ def _run_nslit(geom: slits.SlitGeometry, params: Dict[str, Any]
         "n_points": params["n_points"],
         "peak_positions_m": peaks,
         "fringe_spacing_estimate_m": spacing,
-        "peak_intensity": max(profile.probabilities),
+        "peak_intensity": float(profile.probabilities.max()),
     }
     return summary, (("y_m", "probability"), lambda: (
-        map(repr, profile.screen_points), map(repr, profile.probabilities)))
+        _reprs(profile.screen_points), _reprs(profile.probabilities)))
 
 
 def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
@@ -187,15 +195,15 @@ def _run_sorkin(geom: slits.SlitGeometry, params: Dict[str, Any]
     triple = tuple(params["triple"])
     profile, residuals = slits.sorkin_profile(
         geom, params["y_min"], params["y_max"], params["n_points"], triple)
-    peak = max(profile.probabilities)
+    peak = float(profile.probabilities.max())
     summary = {
         "triple": list(triple),
         "peak_scale": peak,
-        "max_abs_I3": max(map(abs, residuals)),
+        "max_abs_I3": float(np.abs(residuals).max()),
     }
     # I3 is zero up to rounding, so its values repeat: one `repr` each
     return summary, (("y_m", "I3", "peak_scale"), lambda: (
-        map(repr, profile.screen_points), _float_texts(residuals),
+        _reprs(profile.screen_points), _float_texts(residuals),
         repeat(repr(peak))))
 
 
@@ -221,7 +229,7 @@ def _run_freq(space: events.SampleSpace, params: Dict[str, Any]
         "seed": params["seed"],
         "schedule": list(report.schedule),
         "phase": params["phase"],
-        "max_errors": list(report.max_errors),
+        "max_errors": report.max_errors.tolist(),
     }
     return summary, (("N", "outcome", "estimate", "abs_error"),
                      lambda: _freq_columns(report, space.labels))
@@ -234,13 +242,11 @@ def _freq_columns(report: frequency.ConvergenceReport,
     repeat (an estimate depends only on its count, and a zero count's error
     is its true magnitude at every stage)."""
     cells = list(map(_csv_cell, labels))
-    stages = len(report.schedule)
-    texts = _float_texts(report.estimates + report.errors)
+    estimates, errors = _float_texts((report.estimates, report.errors))
     return (chain.from_iterable(repeat(str(n), len(cells))
                                 for n in report.schedule),
-            chain.from_iterable(repeat(cells, stages)),
-            chain.from_iterable(texts[:stages]),
-            chain.from_iterable(texts[stages:]))
+            chain.from_iterable(repeat(cells, len(report.schedule))),
+            chain.from_iterable(estimates), chain.from_iterable(errors))
 
 
 # experiment -> (fields, formats, build, check, run); the first format is

@@ -203,7 +203,12 @@ def outcome_probability(space: SampleSpace, label: str) -> Probability:
 def event_probability(space: SampleSpace,
                       subset: Iterable[str]) -> Probability:
     """Probability of a set of outcomes: plain sum of per-outcome
-    probabilities, in outcome order. No cross terms by orthogonality."""
+    probabilities, in outcome order. No cross terms by orthogonality. A
+    str subset, which would be read one character at a time, raises
+    `UsageError` naming `subset`."""
+    if isinstance(subset, str):
+        raise UsageError("subset must hold labels, not be the str "
+                         f"{shown(subset)}", "subset")
     positions = sorted({space.index(lab) for lab in subset})
     return sum(space._born(positions), 0.0)
 

@@ -9,7 +9,9 @@ reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -24,28 +26,35 @@ GENERATOR_ID = "numpy.random.PCG64"
 
 @dataclass(frozen=True)
 class TrialLedger:
-    """Outcome counts from a seeded batch of trials."""
+    """Outcome counts from a seeded batch of trials: each an int >= 0,
+    summing to `total_n`, an int >= 1; a fault raises `UsageError` naming
+    `counts` or `total_n`."""
 
     counts: Dict[str, int]
     total_n: int
     seed: int
 
     def __post_init__(self) -> None:
-        if self.total_n < 1:
-            raise UsageError("total_n must be positive")
-        if sum(self.counts.values()) != self.total_n:
-            raise UsageError("counts must sum to total_n")
+        if not int_in(self.total_n, 1, math.inf):
+            raise UsageError("total_n must be positive: an int >= 1, got "
+                             f"{shown(self.total_n)}", "total_n")
+        counts = list(self.counts.values())
+        if not all(map(int_in, counts, repeat(0), repeat(math.inf))):
+            raise UsageError("counts must be ints >= 0", "counts")
+        if sum(counts) != self.total_n:
+            raise UsageError("counts must sum to total_n", "counts")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    """Per stage of a trial schedule: each outcome's estimated magnitude and
-    its absolute error, in the space's outcome order, and the worst error."""
+    """Per stage of a trial schedule (ints), read-only float64 arrays: each
+    outcome's estimated magnitude and its absolute error (stages x outcomes,
+    in the space's outcome order), and the worst error; `==` is identity."""
 
     schedule: Tuple[int, ...]
-    estimates: Tuple[Tuple[float, ...], ...]
-    errors: Tuple[Tuple[float, ...], ...]
-    max_errors: Tuple[float, ...]
+    estimates: np.ndarray
+    errors: np.ndarray
+    max_errors: np.ndarray
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -134,20 +143,17 @@ def convergence_report(space: SampleSpace, schedule: Sequence[int],
     distribution, normalised once per report.
     """
     check_schedule(schedule, seed)
+    schedule = tuple(map(operator.index, schedule))
     runs = [(n, child_seed(seed, k)) for k, n in enumerate(schedule)]
-    true_mags = space.magnitudes
-    estimates = []
-    errors = []
-    for n, counts in zip(schedule, _draws(space, runs, "convergence_report")):
+    estimates = np.empty((len(schedule), len(space.labels)))
+    for row, n, counts in zip(estimates, schedule,
+                              _draws(space, runs, "convergence_report")):
         # int / int true division, correctly rounded even for n > 2**53;
         # one quotient per distinct count
         distinct, at = np.unique(counts, return_inverse=True)
-        row = np.sqrt([c / n for c in distinct.tolist()])[at]
-        estimates.append(tuple(row.tolist()))
-        errors.append(tuple(np.abs(row - true_mags).tolist()))
-    return ConvergenceReport(
-        schedule=tuple(schedule),
-        estimates=tuple(estimates),
-        errors=tuple(errors),
-        max_errors=tuple(map(max, errors)),
-    )
+        row[:] = np.sqrt([c / n for c in distinct.tolist()])[at]
+    errors = np.abs(estimates - space.magnitudes)
+    report = ConvergenceReport(schedule, estimates, errors, errors.max(1))
+    for array in (estimates, errors, report.max_errors):
+        array.flags.writeable = False
+    return report

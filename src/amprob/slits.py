@@ -29,8 +29,8 @@ from .events import SampleSpace, classical_space
 DUAL_FORM_RTOL = 1e-12
 # Amplitude cells (screen points x open slits) per kernel pass.
 _BLOCK_CELLS = 4096
-# 8 in the float64 grid, and a pointer and a 24-byte float per tuple
-_BYTES_PER_POINT = 72
+# 8 in the float64 grid and 8 in its probabilities
+_BYTES_PER_POINT = 16
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,13 @@ class PathAmplitude:
     total: Amplitude
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntensityProfile:
-    """Relative intensity sampled on a uniform transverse grid."""
+    """Relative intensity sampled on a uniform transverse grid, as two
+    read-only float64 arrays; `==` is identity."""
 
-    screen_points: Tuple[float, ...]
-    probabilities: Tuple[float, ...]
+    screen_points: np.ndarray
+    probabilities: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -175,13 +176,14 @@ def _amplitudes(geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int]
 def _blockwise(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int],
                lead: Tuple[int, ...] = ()) -> np.ndarray:
-    """fn(amplitudes, points) over ys, about _BLOCK_CELLS cells at a time;
-    fn returns an array of shape lead + (points,)."""
+    """fn(amplitudes, points), of shape lead + (points,), over ys, about
+    _BLOCK_CELLS cells at a time; leaves ys and the result read-only."""
     out = np.empty(lead + (len(ys),))
     step = max(1, _BLOCK_CELLS // len(opened))
     for start in range(0, len(ys), step):
         rows = slice(start, start + step)
         out[..., rows] = fn(_amplitudes(geom, ys[rows], opened), ys[rows])
+    out.flags.writeable = ys.flags.writeable = False
     return out
 
 
@@ -233,8 +235,8 @@ def check_profile(geom: SlitGeometry, y_min: float, y_max: float,
                   ) -> list[int]:
     """Argument check of `intensity_profile`; returns the open slits.
 
-    A grid holds at least 72 bytes per point (the float64 grid and two
-    tuples of Python floats), so one whose floor exceeds the machine's
+    A grid holds at least 16 bytes per point (the float64 grid and its
+    probabilities), so one whose floor exceeds the machine's
     physical memory raises `UsageError` naming `n_points`; where
     `os.sysconf` cannot tell that memory, this rule is skipped."""
     ends = [(key, _floats(y, key, 0).reshape(1))
@@ -349,14 +351,14 @@ def _sorkin_terms(geom: SlitGeometry, ys: np.ndarray, triple: Sequence[int],
 
 
 def sorkin_invariant(geom: SlitGeometry, y: float | Sequence[float],
-                     triple: Sequence[int]) -> float | Tuple[float, ...]:
+                     triple: Sequence[int]) -> float | np.ndarray:
     """Third-order interference residual for three slits at screen point y,
-    or at each point of a sequence y (then a tuple of floats); zero to
-    rounding, as probabilities hold only self and pairwise terms."""
+    or at each point of a sequence y (then a read-only float64 array); zero
+    to rounding, as probabilities hold only self and pairwise terms."""
     opened = check_triple(geom, triple)
     ys = _screen_points(geom, y, opened, None)
     i3 = _sorkin_terms(geom, ys.reshape(-1), triple, opened)[1]
-    return float(i3[0]) if ys.ndim == 0 else tuple(i3.tolist())
+    return float(i3[0]) if ys.ndim == 0 else i3
 
 
 def intensity_profile(geom: SlitGeometry, y_min: float, y_max: float,
@@ -366,23 +368,19 @@ def intensity_profile(geom: SlitGeometry, y_min: float, y_max: float,
     """Arrival probability on a uniform grid of n_points screen positions."""
     opened = check_profile(geom, y_min, y_max, n_points, open_slits)
     grid = np.linspace(y_min, y_max, n_points)
-    probs = _blockwise(_born, geom, grid, opened)
-    return IntensityProfile(screen_points=tuple(grid.tolist()),
-                            probabilities=tuple(probs.tolist()))
+    return IntensityProfile(grid, _blockwise(_born, geom, grid, opened))
 
 
 def sorkin_profile(geom: SlitGeometry, y_min: float, y_max: float,
                    n_points: int, triple: Sequence[int]
-                   ) -> Tuple[IntensityProfile, Tuple[float, ...]]:
+                   ) -> Tuple[IntensityProfile, np.ndarray]:
     """`intensity_profile` with the triple open and `sorkin_invariant` at
     its grid points, equal to both bit for bit, from one kernel pass."""
     opened = check_triple(geom, triple)
     check_profile(geom, y_min, y_max, n_points, opened)
     grid = np.linspace(y_min, y_max, n_points)
     probs, i3 = _sorkin_terms(geom, grid, triple, opened)
-    return (IntensityProfile(screen_points=tuple(grid.tolist()),
-                             probabilities=tuple(probs.tolist())),
-            tuple(i3.tolist()))
+    return IntensityProfile(grid, probs), i3
 
 
 def delayed_choice(geom: SlitGeometry,
@@ -401,8 +399,7 @@ def delayed_choice(geom: SlitGeometry,
 def refined_maxima(profile: IntensityProfile) -> list[float]:
     """Interior local maxima of a profile, refined by a parabolic fit
     through each peak and its two neighbours."""
-    y = np.asarray(profile.screen_points, dtype=float)
-    p = np.asarray(profile.probabilities, dtype=float)
+    y, p = profile.screen_points, profile.probabilities
     k = np.flatnonzero((p[1:-1] > p[:-2]) & (p[1:-1] >= p[2:])) + 1
     denom = p[k - 1] - 2.0 * p[k] + p[k + 1]
     fit = denom < 0

@@ -412,6 +412,16 @@ def test_probabilities_follow_one_rule_bit_for_bit(case):
                                    <= NORMALIZATION_TOL)
 
 
+def test_a_str_subset_is_named_not_read_by_character():
+    # read one character at a time, "ab" would be the event {a, b}: 0.75
+    space = classical_space([1, 1, 2], ["ab", "a", "b"])
+    with pytest.raises(UsageError, match="not be the str 'ab'") as exc:
+        event_probability(space, "ab")
+    assert exc.value.key == "subset"
+    assert event_probability(space, ["ab"]) == \
+        outcome_probability(space, "ab") == 0.25
+
+
 def test_unknown_label_inside_subset_rejected():
     space = classical_space([1, 2, 3], ["a", "b", "c"])
     with pytest.raises(UsageError, match="'zz'"):

@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 
@@ -121,7 +122,7 @@ def test_convergence_report_fair_coin():
 def test_convergence_report_deterministic_space():
     space = classical_space([1, 0], ["a", "b"])
     report = convergence_report(space, [10, 100], seed=3)
-    assert report.max_errors == (0.0, 0.0)
+    assert hex_rows([report.max_errors]) == [[(0.0).hex()] * 2]
 
 
 def test_convergence_report_single_entry():
@@ -169,7 +170,12 @@ def test_a_trial_count_must_be_an_int(n):
 def test_a_numpy_int_trial_count_is_taken():
     n = np.int64(3)
     assert record_trials(FAIR, n, 1) == record_trials(FAIR, 3, 1)
-    assert convergence_report(FAIR, [n], 1) == convergence_report(FAIR, [3], 1)
+    assert report_bits(convergence_report(FAIR, [n], 1)) == \
+        report_bits(convergence_report(FAIR, [3], 1))
+    # the schedule keeps Python ints, so it is JSON as it stands
+    report = convergence_report(FAIR, np.array([10, 100]), 1)
+    assert list(map(type, report.schedule)) == [int, int]
+    assert json.loads(json.dumps(list(report.schedule))) == [10, 100]
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64])
@@ -191,7 +197,7 @@ def test_record_trials_takes_a_numpy_int_seed():
 def test_convergence_report_reproducible():
     a = convergence_report(FAIR, [100, 1000], seed=9)
     b = convergence_report(FAIR, [100, 1000], seed=9)
-    assert a == b
+    assert report_bits(a) == report_bits(b)
 
 
 def test_child_seeds_differ():
@@ -247,12 +253,37 @@ def test_report_rows_follow_the_outcome_order(space, schedule, seed):
                                              space.amplitudes)):
             assert row[i] == math.sqrt(counts[label] / n)
             assert err[i] == abs(row[i] - amp.magnitude)
-    assert report.max_errors == tuple(map(max, report.errors))
+    assert hex_rows([report.max_errors]) == \
+        hex_rows([list(map(max, report.errors.tolist()))])
 
 
 def test_ledger_needs_a_positive_trial_count():
     with pytest.raises(UsageError, match="total_n must be positive"):
         TrialLedger({}, 0, 1)
+
+
+@pytest.mark.parametrize("counts, total_n, key", [
+    ({"a": 2, "b": -1}, 1, "counts"),
+    ({"a": 1.0}, 1, "counts"),
+    ({"a": "1"}, 1, "counts"),
+    ({"a": None, "b": 1}, 1, "counts"),
+    ({"a": 1, "b": 1}, 3, "counts"),
+    ({"a": 1}, "1", "total_n"),
+    ({"a": 1}, 1.0, "total_n"),
+    ({"a": 0}, 0, "total_n"),
+    ({"a": 1}, -1, "total_n"),
+])
+def test_ledger_names_a_bad_count_or_total(counts, total_n, key):
+    # a negative count used to pass, and amplitude_from_frequency then died
+    # in math.sqrt; a str total_n raised a bare TypeError
+    with pytest.raises(UsageError) as exc:
+        TrialLedger(counts, total_n, 0)
+    assert exc.value.key == key
+
+
+def test_ledger_takes_numpy_ints():
+    ledger = TrialLedger({"a": np.int64(2), "b": 0}, np.int64(2), 0)
+    assert amplitude_from_frequency(ledger, "b").magnitude == 0.0
 
 
 def test_convergence_report_needs_a_normalized_space():
@@ -288,6 +319,12 @@ def object_report(space, schedule, seed):
 
 def hex_rows(rows):
     return [[x.hex() for x in row] for row in rows]
+
+
+def report_bits(report):
+    """A report's schedule and the bits of its three arrays."""
+    return (report.schedule, hex_rows(report.estimates),
+            hex_rows(report.errors), hex_rows([report.max_errors]))
 
 
 # zeros, floats at any scale from 1e-300 to 1e300 and ints beyond 2**53

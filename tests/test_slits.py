@@ -1,7 +1,10 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,17 @@ from amprob.cli import main
 WAVELENGTH = 500e-9
 D = 10e-6
 L = 1.0
+
+
+def hexes(values):
+    """The bits of each float of a float64 array, as `float.hex` texts."""
+    return [x.hex() for x in values.tolist()]
+
+
+def is_result_array(values, shape):
+    """Whether `values` is a read-only float64 array of `shape`."""
+    return isinstance(values, np.ndarray) and values.dtype == np.float64 \
+        and values.shape == shape and not values.flags.writeable
 
 
 def two_slit(wavelength=WAVELENGTH, d=D, screen=L, source_x=-1.0):
@@ -357,8 +371,8 @@ class TestDelayedChoice:
 
 
 def test_refined_maxima_on_cosine():
-    y = tuple(np.linspace(0, 4 * math.pi, 400))
-    p = tuple(1 + np.cos(np.array(y)))
+    y = np.linspace(0, 4 * math.pi, 400)
+    p = 1 + np.cos(y)
     from amprob import IntensityProfile
     prof = IntensityProfile(screen_points=y, probabilities=p)
     peaks = refined_maxima(prof)
@@ -409,9 +423,9 @@ def test_profile_equals_per_point_arrival():
         k = max(1, n // 2)
         opened = sorted(rng.choice(n, size=k, replace=False).tolist())
         profile = intensity_profile(geom, -0.05, 0.05, 3001, opened)
-        assert profile.probabilities == tuple(
-            arrival_probability(geom, y, opened)
-            for y in profile.screen_points)
+        assert hexes(profile.probabilities) == [
+            arrival_probability(geom, y, opened).hex()
+            for y in profile.screen_points.tolist()]
 
 
 def test_sorkin_array_equals_per_point_calls():
@@ -419,11 +433,10 @@ def test_sorkin_array_equals_per_point_calls():
     geom = random_geometry(rng, 5)
     ys = np.linspace(-0.05, 0.05, 2501)
     residuals = sorkin_invariant(geom, ys, (3, 0, 4))
-    assert isinstance(residuals, tuple)
-    assert all(type(r) is float for r in residuals)
-    assert residuals == tuple(sorkin_invariant(geom, float(y), (3, 0, 4))
-                              for y in ys)
-    assert sorkin_invariant(geom, [], (0, 1, 2)) == ()
+    assert is_result_array(residuals, (2501,))
+    assert hexes(residuals) == [sorkin_invariant(geom, y, (3, 0, 4)).hex()
+                                for y in ys.tolist()]
+    assert is_result_array(sorkin_invariant(geom, [], (0, 1, 2)), (0,))
 
 
 def test_unresolvable_phase_rejected():
@@ -552,8 +565,8 @@ def test_peak_analysis_equals_loop_reference():
                 intensity_profile(random_geometry(rng, 6), -0.05, 0.05, 999)]
     for n in (3, 4, 40, 41):
         # coarse levels give plateaus, so flat-topped peaks occur
-        p = tuple(float(v) for v in rng.integers(0, 4, size=n) / 3)
-        y = tuple(np.linspace(-1.0, 1.0, n).tolist())
+        p = rng.integers(0, 4, size=n) / 3
+        y = np.linspace(-1.0, 1.0, n)
         profiles.append(IntensityProfile(screen_points=y, probabilities=p))
     for profile in profiles:
         assert refined_maxima(profile) == loop_refined_maxima(profile)
@@ -850,20 +863,22 @@ def test_a_slit_index_must_be_an_int(call, key, index):
 
 def test_numpy_ints_are_taken_as_slit_indices_and_point_counts():
     one, ten = np.int64(1), np.int64(10)
-    assert intensity_profile(THREE_SLITS, -0.1, 0.1, ten, [0, one]) == \
-        intensity_profile(THREE_SLITS, -0.1, 0.1, 10, [0, 1])
+    a, b = (intensity_profile(THREE_SLITS, -0.1, 0.1, n, [0, i])
+            for n, i in ((ten, one), (10, 1)))
+    assert (hexes(a.screen_points), hexes(a.probabilities)) == \
+        (hexes(b.screen_points), hexes(b.probabilities))
     assert sorkin_invariant(THREE_SLITS, 0.01, (0, one, 2)) == \
         sorkin_invariant(THREE_SLITS, 0.01, (0, 1, 2))
 
 
 def test_a_grid_beyond_physical_memory_is_named_by_n_points(monkeypatch):
     # the memory reading is patched, so no grid is allocated
-    monkeypatch.setattr(slits, "_physical_memory", lambda: 72 * 1000)
+    monkeypatch.setattr(slits, "_physical_memory", lambda: 16 * 1000)
     geom = two_slit()
     assert slits.check_profile(geom, -0.1, 0.1, 1000) == [0, 1]
     for call in (slits.check_profile, intensity_profile):
         with pytest.raises(UsageError, match="n_points 1001 needs at least "
-                           "72072 bytes, more than this machine's 72000$"
+                           "16016 bytes, more than this machine's 16000$"
                            ) as exc:
             call(geom, -0.1, 0.1, 1001)
         assert exc.value.key == "n_points"
@@ -873,6 +888,59 @@ def test_a_grid_beyond_physical_memory_is_named_by_n_points(monkeypatch):
     assert exc.value.key == "n_points"
     monkeypatch.setattr(slits, "_physical_memory", lambda: None)
     assert slits.check_profile(geom, -1e6, 1e6, 10 ** 12) == [0, 1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_a_run_holds_its_grid_as_float64_arrays(tmp_path):
+    # 10**6 points may cost less than 48 bytes each of peak RSS over
+    # 2,001 points. The grid and its probabilities are 16; two whole
+    # columns of Python floats cost about 99. A child's ru_maxrss starts
+    # from the RSS of the process that forked it, so each run is the only
+    # child of a small Python process, which reports it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    report = ("import resource, subprocess, sys; "
+              "subprocess.run(sys.argv[1:], check=True); "
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+    def peak_rss(n_points):
+        cfg = tmp_path / f"{n_points}.cfg"
+        cfg.write_text(NSLIT_CFG.replace("n_points = 2001",
+                                         f"n_points = {n_points}"))
+        run = subprocess.run([
+            sys.executable, "-c", report, sys.executable, "-m", "amprob",
+            "run", "--config", str(cfg), "--out", str(tmp_path / "run"),
+            "--no-timestamp"], env=env, capture_output=True, text=True,
+            check=True, timeout=300)
+        return int(run.stdout.split()[-1]) * 1024
+
+    small, large = peak_rss(2001), peak_rss(10 ** 6)
+    assert large - small < 48 * (10 ** 6 - 2001)
+
+
+def test_results_are_read_only_float64_arrays():
+    three = SlitGeometry((-1.0, 0.0), 0.0, (-1e-5, 0.0, 1e-5), 1.0, 5e-7)
+    profile = intensity_profile(three, -0.1, 0.1, 11)
+    sorkin, residuals = slits.sorkin_profile(three, -0.1, 0.1, 7, (0, 1, 2))
+    report = amprob.convergence_report(amprob.classical_space(
+        [1, 2, 3], ["a", "b", "c"]), [10, 100, 1000, 10000], 1)
+    for values, shape in ((profile.screen_points, (11,)),
+                          (profile.probabilities, (11,)),
+                          (sorkin.screen_points, (7,)),
+                          (sorkin.probabilities, (7,)), (residuals, (7,)),
+                          (sorkin_invariant(three, [0.0, 0.1], (0, 1, 2)),
+                           (2,)),
+                          (report.estimates, (4, 3)),
+                          (report.errors, (4, 3)),
+                          (report.max_errors, (4,))):
+        assert is_result_array(values, shape)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+    # equality is identity, not a comparison of arrays
+    assert profile == profile and profile != dataclasses.replace(profile)
+    assert report == report and report != dataclasses.replace(report)
 
 
 def test_physical_memory_is_what_sysconf_tells(monkeypatch):
