@@ -26,9 +26,10 @@ GENERATOR_ID = "numpy.random.PCG64"
 
 @dataclass(frozen=True)
 class TrialLedger:
-    """Outcome counts from a seeded batch of trials: each an int >= 0,
-    summing to `total_n`, an int >= 1; a fault raises `UsageError` naming
-    `counts` or `total_n`."""
+    """Outcome counts from a seeded batch of trials: a dict of ints >= 0,
+    summing to `total_n`, an int >= 1, and the seed, as `record_trials`
+    takes it; a fault raises `UsageError` naming `counts`, `total_n` or
+    `seed`."""
 
     counts: Dict[str, int]
     total_n: int
@@ -38,11 +39,15 @@ class TrialLedger:
         if not int_in(self.total_n, 1, math.inf):
             raise UsageError("total_n must be positive: an int >= 1, got "
                              f"{shown(self.total_n)}", "total_n")
+        if not isinstance(self.counts, dict):
+            raise UsageError("counts must be a dict of outcome counts, got "
+                             f"{shown(self.counts)}", "counts")
         counts = list(self.counts.values())
         if not all(map(int_in, counts, repeat(0), repeat(math.inf))):
             raise UsageError("counts must be ints >= 0", "counts")
         if sum(counts) != self.total_n:
             raise UsageError("counts must sum to total_n", "counts")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,9 @@ wavelengths mod 1: the dropped axial part is a global phase, and the
 probabilities stay within about 3e-11 of a 50-digit reference. Excess
 paths of 2**52 wavelengths or more are rejected. Each slit's total
 amplitude has magnitude 1 / sqrt(n_slits); arrival probabilities are
-relative intensities, not normalized over the screen.
+relative intensities, not normalized over the screen. The kernel holds a
+block of amplitudes as open slits x screen points, so each sum over slits
+adds whole rows.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import InvariantError, UsageError, int_in, shown
 from .events import SampleSpace, classical_space
 
 DUAL_FORM_RTOL = 1e-12
-# Amplitude cells (screen points x open slits) per kernel pass.
+# Amplitude cells (open slits x screen points) per kernel pass.
 _BLOCK_CELLS = 4096
 # 8 in the float64 grid and 8 in its probabilities
 _BYTES_PER_POINT = 16
@@ -141,13 +143,13 @@ def _floats(values: float | Sequence[float], key: str,
 
 def _leg_cycles(geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int],
                 key: Optional[str] = None) -> List[np.ndarray]:
-    """Source-leg (per slit) and screen-leg (point x slit) phases in cycles:
+    """Source-leg (per slit) and screen-leg (slit x point) phases in cycles:
     each leg's excess over its axial run, over the wavelength, mod 1. An
     excess of 2**52 wavelengths or more raises `UsageError` naming `key`."""
     off = np.array([geom.slit_offsets[i] for i in opened])
     cycles = []
     for a, b in ((geom.slit_plane_x - geom.source[0], off - geom.source[1]),
-                 (geom.screen_plane_x - geom.slit_plane_x, ys[:, None] - off)):
+                 (geom.screen_plane_x - geom.slit_plane_x, ys - off[:, None])):
         with np.errstate(over="ignore", invalid="ignore"):
             c = b * b / (np.hypot(a, b) + a) / geom.wavelength
         worst = float(c.max(initial=0.0))
@@ -164,9 +166,10 @@ def _leg_cycles(geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int],
 
 def _amplitudes(geom: SlitGeometry, ys: np.ndarray, opened: Sequence[int]
                 ) -> np.ndarray:
-    """Kernel: complex (len(ys) x len(opened)) matrix of slit amplitudes."""
+    """Kernel: complex (len(opened) x len(ys)) matrix of slit amplitudes,
+    one row per open slit."""
     source, screen = _leg_cycles(geom, ys, opened)
-    phase = (2.0 * math.pi) * (source + screen)
+    phase = (2.0 * math.pi) * (source[:, None] + screen)
     mag = 1.0 / math.sqrt(geom.n_slits)
     amps = np.empty(phase.shape, dtype=complex)
     amps.real, amps.imag = mag * np.cos(phase), mag * np.sin(phase)
@@ -187,28 +190,39 @@ def _blockwise(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return out
 
 
-def _born(amps: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Arrival probability of each row of `amps`, as |sum of amplitudes|^2
-    checked against the pairwise sum: self terms plus, for each slit j,
-    2 Re(a_j conj(sum of a_i over i < j))."""
-    prefix = np.cumsum(amps, axis=1)
-    total = prefix[:, -1]
-    direct = total.real * total.real + total.imag * total.imag
-    pairwise = (np.sum(amps.real * amps.real + amps.imag * amps.imag, axis=1)
-                + 2.0 * np.sum((amps[:, 1:] * prefix[:, :-1].conj()).real,
-                               axis=1))
+def _check_dual_form(direct: np.ndarray, pairwise: np.ndarray,
+                     ys: np.ndarray) -> None:
+    """Raise `InvariantError` at the first point where the direct Born form
+    and the pairwise sum differ by more than DUAL_FORM_RTOL * max(1,
+    direct)."""
     bad = np.abs(direct - pairwise) > DUAL_FORM_RTOL * np.maximum(1.0, direct)
     if bad.any():
         k = int(np.argmax(bad))
         raise InvariantError(
             f"direct Born form {float(direct[k])!r} disagrees with pairwise "
             f"sum {float(pairwise[k])!r} at y={float(ys[k])!r}")
+
+
+def _born(amps: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Arrival probability at each column of `amps`, as |sum of
+    amplitudes|^2 checked against the pairwise sum: self terms plus, for
+    each slit j, 2 Re(a_j conj(sum of a_i over i < j))."""
+    prefix = np.cumsum(amps, axis=0)
+    total = prefix[-1]
+    direct = total.real * total.real + total.imag * total.imag
+    pairwise = (np.sum(amps.real * amps.real + amps.imag * amps.imag, axis=0)
+                + 2.0 * np.sum((amps[1:] * prefix[:-1].conj()).real, axis=0))
+    _check_dual_form(direct, pairwise, ys)
     return direct
 
 
 def _open_list(geom: SlitGeometry, open_slits: Iterable[int],
                key: str = "open_slits") -> list[int]:
-    opened = list(open_slits)
+    try:
+        opened = list(open_slits)
+    except TypeError:  # not iterable: an int, None
+        raise UsageError(f"{key} must be slit indices, got "
+                         f"{shown(open_slits)}", key) from None
     if not opened:
         raise UsageError(f"{key} must be non-empty", key)
     for i in opened:
@@ -270,9 +284,16 @@ def check_profile(geom: SlitGeometry, y_min: float, y_max: float,
 
 
 def check_triple(geom: SlitGeometry, triple: Sequence[int]) -> list[int]:
-    """Argument check of `sorkin_invariant`; returns the triple sorted."""
-    if len(triple) != 3:
-        raise UsageError("triple must hold three slit indices", "triple")
+    """Argument check of `sorkin_invariant`; returns the triple sorted.
+    The triple is read twice, so one with no `len` (an int, None, a
+    generator) raises `UsageError` naming `triple`."""
+    try:
+        three = len(triple) == 3
+    except TypeError:  # no len: an int, None, a generator
+        three = False
+    if not three:
+        raise UsageError("triple must hold three slit indices, got "
+                         f"{shown(triple)}", "triple")
     return _open_list(geom, triple, "triple")
 
 
@@ -329,23 +350,31 @@ def pairwise_interference(geom: SlitGeometry, y: float, i: int,
         raise UsageError("j must differ from i", "j")
     ys = _screen_points(geom, y, opened).reshape(1)
     amps = _amplitudes(geom, ys, opened)
-    a, b = (Amplitude(z.real, z.imag) for z in amps[0].tolist())
+    a, b = (Amplitude(z.real, z.imag) for z in amps[:, 0].tolist())
     return interference_term(a, b)
 
 
 def _sorkin_terms(geom: SlitGeometry, ys: np.ndarray, triple: Sequence[int],
                   opened: Sequence[int]) -> np.ndarray:
     """Rows (triple-open probability, I3) at each point of ys, from one
-    kernel pass of `opened`, the checked triple sorted: the triple and its
-    pairs through `_born`, the singles as the block's own self terms."""
+    kernel pass of `opened`, the checked triple sorted: the triple through
+    `_born`; each pair's total as the sum of its two rows of the block,
+    the bits `_born`'s cumsum forms, with its dual form checked; the
+    singles as the block's own self terms."""
     a, b, c = map(opened.index, triple)
 
     def terms(amps: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, ...]:
         abc = _born(amps, ys)
-        p = lambda i, j: _born(amps[:, [i, j]], ys)
         q = amps.real * amps.real + amps.imag * amps.imag
-        return abc, (abc - p(a, b) - p(a, c) - p(b, c)
-                     + q[:, a] + q[:, b] + q[:, c])
+
+        def p(i: int, j: int) -> np.ndarray:
+            s = amps[i] + amps[j]
+            direct = s.real * s.real + s.imag * s.imag
+            cross = amps[i].real * amps[j].real + amps[i].imag * amps[j].imag
+            _check_dual_form(direct, (q[i] + q[j]) + 2.0 * cross, ys)
+            return direct
+
+        return abc, (abc - p(a, b) - p(a, c) - p(b, c) + q[a] + q[b] + q[c])
 
     return _blockwise(terms, geom, ys, opened, (2,))
 

@@ -178,15 +178,18 @@ def test_a_numpy_int_trial_count_is_taken():
     assert json.loads(json.dumps(list(report.schedule))) == [10, 100]
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64])
+@pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64, "x"])
 def test_record_trials_names_a_seed_numpy_cannot_take(seed):
-    # the rule of check_schedule: an int of 64 unsigned bits
+    # the rule of check_schedule, and of a ledger built directly, which
+    # took a str seed: an int of 64 unsigned bits
     with pytest.raises(UsageError, match="64 unsigned bits") as exc:
         record_trials(FAIR, 10, seed)
     assert exc.value.key == "seed"
-    with pytest.raises(UsageError) as exc:
-        convergence_report(FAIR, [10], seed)
-    assert exc.value.key == "seed"
+    for call in (lambda: convergence_report(FAIR, [10], seed),
+                 lambda: TrialLedger({"a": 3}, 3, seed)):
+        with pytest.raises(UsageError) as exc:
+            call()
+        assert exc.value.key == "seed"
 
 
 def test_record_trials_takes_a_numpy_int_seed():
@@ -272,10 +275,14 @@ def test_ledger_needs_a_positive_trial_count():
     ({"a": 1}, 1.0, "total_n"),
     ({"a": 0}, 0, "total_n"),
     ({"a": 1}, -1, "total_n"),
+    ([1, 2], 3, "counts"),
+    ((("a", 1),), 1, "counts"),
+    (None, 1, "counts"),
 ])
 def test_ledger_names_a_bad_count_or_total(counts, total_n, key):
     # a negative count used to pass, and amplitude_from_frequency then died
-    # in math.sqrt; a str total_n raised a bare TypeError
+    # in math.sqrt; a str total_n raised a bare TypeError, and counts that
+    # are no dict a bare AttributeError
     with pytest.raises(UsageError) as exc:
         TrialLedger(counts, total_n, 0)
     assert exc.value.key == key

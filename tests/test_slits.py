@@ -478,7 +478,7 @@ def test_leg_cycles_equal_an_fmod_reference_bit_for_bit():
         opened = sorted(rng.choice(n, rng.integers(1, n + 1), replace=False))
         off = np.array([geom.slit_offsets[i] for i in opened])
         legs = ((geom.slit_plane_x - geom.source[0], off - geom.source[1]),
-                (geom.screen_plane_x - geom.slit_plane_x, ys[:, None] - off))
+                (geom.screen_plane_x - geom.slit_plane_x, ys - off[:, None]))
         reference = [np.fmod(b * b / (np.hypot(a, b) + a) / geom.wavelength,
                              1.0) for a, b in legs]
         for got, want in zip(slits._leg_cycles(geom, ys, opened), reference):
@@ -587,7 +587,7 @@ def test_which_path_and_pair_terms_equal_the_inline_formulas():
                       + amps.imag * amps.imag).tolist())
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
         y = float(ys[0])
-        a, b = slits._amplitudes(geom, np.array([y]), [i, j])[0]
+        a, b = slits._amplitudes(geom, np.array([y]), [i, j])[:, 0]
         term = pairwise_interference(geom, y, j, i)
         assert type(term) is float
         assert term == float(2.0 * (a.real * b.real + a.imag * b.imag))
@@ -602,13 +602,13 @@ def test_sorkin_checks_the_dual_form(monkeypatch, tmp_path):
 
 
 def seven_call_sorkin_terms(geom, ys, triple, opened):
-    """Reference: one `_born` per open subset of the triple, its columns
-    in slit order."""
+    """Reference: one `_born` per open subset of the triple, its rows in
+    slit order."""
     a, b, c = triple
 
     def terms(amps, ys):
         p = lambda *idx: slits._born(
-            amps[:, sorted(map(opened.index, idx))], ys)
+            amps[sorted(map(opened.index, idx))], ys)
         abc = p(a, b, c)
         return abc, abc - p(a, b) - p(a, c) - p(b, c) + p(a) + p(b) + p(c)
 
@@ -630,20 +630,55 @@ def test_sorkin_terms_equal_the_seven_call_form_bit_for_bit(n_slits,
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_sorkin_terms_take_four_born_calls_per_block(monkeypatch):
-    widths = []
-    born = slits._born
+def test_sorkin_terms_make_four_dual_form_checks_per_block(monkeypatch):
+    # the triple through `_born`, then its three pairs, each over its
+    # block's points, which name the point at fault
+    checks = []
+    check = slits._check_dual_form
 
-    def counted(amps, ys):
-        widths.append(amps.shape[1])
-        return born(amps, ys)
+    def counted(direct, pairwise, ys):
+        checks.append((len(direct), ys.tolist()))
+        return check(direct, pairwise, ys)
 
-    monkeypatch.setattr(slits, "_born", counted)
+    monkeypatch.setattr(slits, "_check_dual_form", counted)
     geom = random_geometry(np.random.default_rng(4), 5)
-    # 3000 points of three slits make three blocks
-    slits._sorkin_terms(geom, np.linspace(-0.05, 0.05, 3000), (4, 0, 2),
-                        [0, 2, 4])
-    assert widths == [3, 2, 2, 2] * 3
+    ys = np.linspace(-0.05, 0.05, 3000)
+    slits._sorkin_terms(geom, ys, (4, 0, 2), [0, 2, 4])
+    # 3000 points of three slits make blocks of 1365, 1365 and 270
+    blocks = [ys[:1365].tolist(), ys[1365:2730].tolist(), ys[2730:].tolist()]
+    assert checks == [(len(b), b) for b in blocks for _ in range(4)]
+
+
+def point_major_born(geom, ys, opened):
+    """Reference: the arrival probability as the kernel formed it with
+    points as rows and open slits as columns, |cumsum along a row|^2."""
+    off = np.array([geom.slit_offsets[i] for i in opened])
+    cycles = []
+    for a, b in ((geom.slit_plane_x - geom.source[0], off - geom.source[1]),
+                 (geom.screen_plane_x - geom.slit_plane_x, ys[:, None] - off)):
+        c = b * b / (np.hypot(a, b) + a) / geom.wavelength
+        cycles.append(c - np.trunc(c))
+    phase = (2.0 * math.pi) * (cycles[0] + cycles[1])
+    mag = 1.0 / math.sqrt(geom.n_slits)
+    amps = np.empty(phase.shape, dtype=complex)
+    amps.real, amps.imag = mag * np.cos(phase), mag * np.sin(phase)
+    total = np.cumsum(amps, axis=1)[:, -1]
+    return total.real * total.real + total.imag * total.imag
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 700), st.integers(0, 2 ** 32))
+def test_born_blocks_equal_the_point_major_form_bit_for_bit(n_slits,
+                                                            n_points, seed):
+    # 700 points of 6 or more open slits span more than one kernel block
+    rng = np.random.default_rng(seed)
+    geom = random_geometry(rng, n_slits)
+    opened = sorted(rng.choice(n_slits, rng.integers(1, n_slits + 1),
+                               replace=False).tolist())
+    ys = rng.uniform(-0.05, 0.05, n_points)
+    got = slits._blockwise(slits._born, geom, ys, opened)
+    want = point_major_born(geom, ys, opened)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("y, match", [(math.nan, "finite"),
@@ -858,6 +893,21 @@ def test_a_slit_index_must_be_an_int(call, key, index):
     # before any index reaches the kernel's tuple of slit offsets
     with pytest.raises(UsageError, match="not an int") as exc:
         call(THREE_SLITS, index)
+    assert exc.value.key == key
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda geom: sorkin_invariant(geom, 0.0, 5), "triple"),
+    (lambda geom: sorkin_invariant(geom, 0.0, (i for i in range(3))),
+     "triple"),
+    (lambda geom: slits.sorkin_profile(geom, -0.01, 0.01, 11, None),
+     "triple"),
+    (lambda geom: intensity_profile(geom, -0.01, 0.01, 11, 3), "open_slits"),
+], ids=["int_triple", "generator_triple", "none_triple", "int_open_slits"])
+def test_a_bad_slit_index_container_is_named_by_its_key(call, key):
+    # each raised a bare TypeError from len() or list()
+    with pytest.raises(UsageError) as exc:
+        call(THREE_SLITS)
     assert exc.value.key == key
 
 
