@@ -4,12 +4,13 @@
 configured experiment with the runner of its `config.EXPERIMENTS` record
 and writes `BASE.json` (always) plus `BASE.csv` for a tabular experiment
 whose format is csv: the runner hands over its named columns, and
-`_write_outputs` alone writes the rows. A summary value may also come
-encoded, as an iterator of JSON object members (the coin's n x n
-`joint_table`, one text per call row), which the writer passes through
-as it comes, so no n²-entry dict is built. `amprob validate --config FILE`
-parses only. `python -m amprob` (or `python -m amprob.cli`) runs the same
-tool; the argument parser is built once, when this module is imported.
+`_write_outputs` alone writes the rows. Each summary value is written as
+one `json.dumps(value, indent=2)`, except one that comes encoded, as an
+iterator of JSON object members (the coin's n x n `joint_table`, one text
+per call row), which the writer passes through as it comes, so no
+n²-entry dict is built. `amprob validate --config FILE` parses only.
+`python -m amprob` (or `python -m amprob.cli`) runs the same tool; the
+argument parser is built once, when this module is imported.
 
 Exit codes: 0 success, 2 configuration error (including a config that
 asks for more memory than the machine has), 3 I/O error, 4 internal
@@ -35,20 +36,13 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
 def _json_chunks(summary: Dict[str, Any]) -> Iterator[str]:
-    """The text of `json.dumps(summary, indent=2)` in pieces, from calls to
-    the C encoder (which `indent` turns off): a non-empty list or dict of
-    scalars is encoded in one call, with the newline and indent in the item
-    separator; an iterator stands for a dict and yields its members already
-    encoded, as `"key": value` texts joined by `JSON_MEMBER_SEP`, which are
-    written as they come (an empty one as `{}`); anything else takes the
-    pure-Python encoder."""
-    if not summary:
-        yield "{}"
-        return
+    """The text of `json.dumps(summary, indent=2)`, for a non-empty
+    summary, in pieces: each value is one `json.dumps(value, indent=2)`,
+    indented a level, except an iterator, which stands for a dict and
+    yields its members already encoded, as `"key": value` texts joined by
+    `JSON_MEMBER_SEP`; those are written as they come (an empty one as
+    `{}`)."""
     sep = "{\n  "
     for key, value in summary.items():
         yield f"{sep}{json.dumps(key)}: "
@@ -59,13 +53,6 @@ def _json_chunks(summary: Dict[str, Any]) -> Iterator[str]:
                 yield opening + members
                 opening = JSON_MEMBER_SEP
             yield "\n  }" if opening == JSON_MEMBER_SEP else "{}"
-            continue
-        is_dict = isinstance(value, dict)
-        if isinstance(value, (list, dict)) and value and \
-                _JSON_SCALARS.issuperset(map(type, value.values() if is_dict
-                                             else value)):
-            text = json.dumps(value, separators=(JSON_MEMBER_SEP, ": "))
-            yield f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
         else:
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
     yield "\n}"

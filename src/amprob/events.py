@@ -180,18 +180,30 @@ def classical_space(weights: Sequence[float],
     """Build a normalized space from non-negative weights; amplitude i gets
     magnitude sqrt(w_i / sum w) at phase 0. The quotients are Python's,
     rounded once from the exact weights (ints beyond 2**53 included); the
-    space makes its amplitudes tuple when first read."""
+    space makes its amplitudes tuple when first read. A bad argument
+    raises `UsageError` naming `weights` or `labels`."""
     # min and max pass over a NaN unless it comes first, so past them a
     # NaN is all that can be out of range, and it makes the sum NaN
-    if not (min(weights, default=0) >= 0 and
-            max(weights, default=0) <= sys.float_info.max) or \
-            (total := sum(weights)) != total:
-        raise UsageError("weights must be finite and non-negative", "weights")
+    try:
+        len(weights)  # none for a generator, which min would use up
+        if not (min(weights, default=0) >= 0 and
+                max(weights, default=0) <= sys.float_info.max) or \
+                (total := sum(weights)) != total:
+            raise UsageError("weights must be finite and non-negative",
+                             "weights")
+    except TypeError:  # no len, or an item that is no real number
+        raise UsageError("weights must be a sequence of real numbers, got "
+                         f"{shown(weights)}", "weights") from None
     if not 0 < total < math.inf:
         raise UsageError("weights must have a positive sum that float64 "
                          "can hold", "weights")
     quotients = list(map(operator.truediv, weights, repeat(total)))
-    return SampleSpace._phase_zero(tuple(labels), np.sqrt(quotients))
+    try:
+        labels = tuple(labels)
+    except TypeError:  # not iterable: an int, None
+        raise UsageError(f"labels must be str labels, got {shown(labels)}",
+                         "labels") from None
+    return SampleSpace._phase_zero(labels, np.sqrt(quotients))
 
 
 def outcome_probability(space: SampleSpace, label: str) -> Probability:
@@ -204,12 +216,16 @@ def event_probability(space: SampleSpace,
                       subset: Iterable[str]) -> Probability:
     """Probability of a set of outcomes: plain sum of per-outcome
     probabilities, in outcome order. No cross terms by orthogonality. A
-    str subset, which would be read one character at a time, raises
-    `UsageError` naming `subset`."""
+    str subset, which would be read one character at a time, or one that
+    cannot be iterated raises `UsageError` naming `subset`."""
     if isinstance(subset, str):
         raise UsageError("subset must hold labels, not be the str "
                          f"{shown(subset)}", "subset")
-    positions = sorted({space.index(lab) for lab in subset})
+    try:
+        positions = sorted({space.index(lab) for lab in subset})
+    except TypeError:  # not iterable: an int, None
+        raise UsageError("subset must be a collection of labels, got "
+                         f"{shown(subset)}", "subset") from None
     return sum(space._born(positions), 0.0)
 
 

@@ -69,8 +69,13 @@ def _rng(seed: int) -> np.random.Generator:
 def child_seed(seed: int, index: int) -> int:
     """Derive an independent 64-bit seed for schedule entry `index`.
 
-    Uses SeedSequence spawn keys so entries never share a stream.
+    Uses SeedSequence spawn keys so entries never share a stream. A bad
+    argument raises `UsageError` naming `seed` or `index`.
     """
+    _check_seed(seed)
+    if not int_in(index, 0, math.inf):
+        raise UsageError(f"index must be an int >= 0, got {shown(index)}",
+                         "index")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -88,12 +93,18 @@ def _check_seed(seed: int) -> None:
 
 
 def check_schedule(schedule: Sequence[int], seed: int) -> None:
-    """Argument check of `convergence_report`."""
+    """Argument check of `convergence_report`; a fault raises `UsageError`
+    naming `schedule` or `seed`."""
+    try:
+        later = schedule[1:]
+    except TypeError:  # no slice: an int, None, a generator, a set
+        raise UsageError("schedule must be a sequence of trial counts, got "
+                         f"{shown(schedule)}", "schedule") from None
     if len(schedule) == 0:
         raise UsageError("schedule must be non-empty", "schedule")
     for n in schedule:
         _check_count(n, "schedule")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+    if any(b <= a for a, b in zip(schedule, later)):
         raise UsageError("schedule must be strictly increasing", "schedule")
     _check_seed(seed)
 

@@ -58,10 +58,10 @@ class SlitGeometry:
                                   ("slit_plane_x", self.slit_plane_x, 0),
                                   ("screen_plane_x", self.screen_plane_x, 0),
                                   ("slit_offsets", self.slit_offsets, 1)):
-            _floats(values, key, ndim)
-        if self.wavelength <= 0 or not math.isfinite(self.wavelength):
-            raise UsageError("wavelength must be positive and finite",
-                             "wavelength")
+            if not np.isfinite(_floats(values, key, ndim)).all():
+                raise UsageError(f"{key} must be finite", key)
+        if self.wavelength <= 0:
+            raise UsageError("wavelength must be positive", "wavelength")
         if not self.source[0] < self.slit_plane_x:
             raise UsageError("source_x must lie before slit_plane_x",
                              "source_x")
@@ -357,23 +357,28 @@ def pairwise_interference(geom: SlitGeometry, y: float, i: int,
 def _sorkin_terms(geom: SlitGeometry, ys: np.ndarray, triple: Sequence[int],
                   opened: Sequence[int]) -> np.ndarray:
     """Rows (triple-open probability, I3) at each point of ys, from one
-    kernel pass of `opened`, the checked triple sorted: the triple through
-    `_born`; each pair's total as the sum of its two rows of the block,
-    the bits `_born`'s cumsum forms, with its dual form checked; the
-    singles as the block's own self terms."""
+    kernel pass of `opened`, the checked triple sorted. The block is
+    squared once, as q. One chain rule serves the triple (its rows in slit
+    order, as `_born`'s cumsum adds them) and each pair: a set's total adds
+    its rows one at a time, and its pairwise form, checked against
+    |total|^2, adds each row's self term plus twice its cross term with
+    the total so far. The singles are the self terms."""
     a, b, c = map(opened.index, triple)
 
     def terms(amps: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, ...]:
-        abc = _born(amps, ys)
         q = amps.real * amps.real + amps.imag * amps.imag
 
-        def p(i: int, j: int) -> np.ndarray:
-            s = amps[i] + amps[j]
+        def p(first: int, *rest: int) -> np.ndarray:
+            s, pairwise = amps[first], q[first]
+            for i in rest:
+                cross = amps[i].real * s.real + amps[i].imag * s.imag
+                pairwise = pairwise + q[i] + 2.0 * cross
+                s = s + amps[i]
             direct = s.real * s.real + s.imag * s.imag
-            cross = amps[i].real * amps[j].real + amps[i].imag * amps[j].imag
-            _check_dual_form(direct, (q[i] + q[j]) + 2.0 * cross, ys)
+            _check_dual_form(direct, pairwise, ys)
             return direct
 
+        abc = p(0, 1, 2)
         return abc, (abc - p(a, b) - p(a, c) - p(b, c) + q[a] + q[b] + q[c])
 
     return _blockwise(terms, geom, ys, opened, (2,))

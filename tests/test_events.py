@@ -422,6 +422,26 @@ def test_a_str_subset_is_named_not_read_by_character():
         outcome_probability(space, "ab") == 0.25
 
 
+@pytest.mark.parametrize("call, key", [
+    (lambda: event_probability(classical_space([1, 1], "ab"), None),
+     "subset"),
+    (lambda: event_probability(classical_space([1, 1], "ab"), 5), "subset"),
+    (lambda: classical_space(None, ["a"]), "weights"),
+    (lambda: classical_space(["1"], ["a"]), "weights"),
+    (lambda: classical_space([1j], ["a"]), "weights"),
+    # min would use the generator up and leave a sum of 0
+    (lambda: classical_space((w for w in [1, 1]), "ab"), "weights"),
+    (lambda: classical_space([1], 5), "labels"),
+    (lambda: classical_space([1], None), "labels"),
+], ids=["subset_none", "subset_int", "weights_none", "weights_text",
+        "weights_complex", "weights_generator", "labels_int",
+        "labels_none"])
+def test_a_bad_weights_labels_or_subset_is_named_by_its_key(call, key):
+    with pytest.raises(UsageError, match=f"{key} must be .*, got") as exc:
+        call()
+    assert exc.value.key == key
+
+
 def test_unknown_label_inside_subset_rejected():
     space = classical_space([1, 2, 3], ["a", "b", "c"])
     with pytest.raises(UsageError, match="'zz'"):

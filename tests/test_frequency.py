@@ -21,6 +21,7 @@ from amprob import (
     normalize,
     record_trials,
 )
+from amprob.frequency import check_schedule
 
 FAIR = classical_space([1, 1], ["h", "t"])
 
@@ -190,6 +191,27 @@ def test_record_trials_names_a_seed_numpy_cannot_take(seed):
         with pytest.raises(UsageError) as exc:
             call()
         assert exc.value.key == "seed"
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda: check_schedule((n for n in [10, 20]), 1), "schedule"),
+    (lambda: check_schedule(None, 1), "schedule"),
+    (lambda: check_schedule(10, 1), "schedule"),
+    (lambda: check_schedule({10, 20}, 1), "schedule"),
+    (lambda: convergence_report(FAIR, (n for n in [10, 20]), 1), "schedule"),
+    (lambda: convergence_report(FAIR, None, 1), "schedule"),
+    (lambda: convergence_report(FAIR, 10, 1), "schedule"),
+    (lambda: child_seed(-1, 0), "seed"),
+    (lambda: child_seed("x", 0), "seed"),
+    (lambda: child_seed(1, -1), "index"),
+    (lambda: child_seed(1, 1.0), "index"),
+], ids=["generator", "none", "int", "set", "report_generator", "report_none",
+        "report_int", "child_seed_negative", "child_seed_text",
+        "child_index_negative", "child_index_float"])
+def test_a_bad_schedule_or_child_seed_is_named_by_its_key(call, key):
+    with pytest.raises(UsageError) as exc:
+        call()
+    assert exc.value.key == key
 
 
 def test_record_trials_takes_a_numpy_int_seed():

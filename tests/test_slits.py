@@ -631,8 +631,8 @@ def test_sorkin_terms_equal_the_seven_call_form_bit_for_bit(n_slits,
 
 
 def test_sorkin_terms_make_four_dual_form_checks_per_block(monkeypatch):
-    # the triple through `_born`, then its three pairs, each over its
-    # block's points, which name the point at fault
+    # the triple, then its three pairs, each through the one chain rule
+    # and over its block's points, which name the point at fault
     checks = []
     check = slits._check_dual_form
 
@@ -872,6 +872,20 @@ BAD_SOURCES = {"one_item": (-1.0,), "three_items": (-1.0, 0.0, 5.0),
 def test_a_bad_geometry_or_detector_is_named_by_its_key(call, key, value):
     with pytest.raises(UsageError, match="real number") as exc:
         call(value)
+    assert exc.value.key == key
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["wavelength", "source_x", "source_y",
+                                  "slit_plane_x", "screen_plane_x",
+                                  "slit_offsets"])
+def test_a_non_finite_geometry_length_is_named_by_its_key(name, value):
+    # an infinite screen_plane_x would give 2 - 4e-16 at every point, and
+    # the excess-path rule would name a non-finite source_y `wavelength`
+    call, key = REAL_ARGUMENTS[name]
+    with pytest.raises(UsageError, match=f"{key} must be finite") as exc:
+        call((0.0, value) if name == "slit_offsets" else value)
     assert exc.value.key == key
 
 
