@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, shown
 
 # Full-event probabilities are non-negative reals; interference terms are
 # signed and may leave [0, 1]. Both are plain floats, distinguished by the
@@ -22,11 +22,15 @@ SignedProbability = float
 
 
 def _require_finite(*values: float) -> None:
+    """Raise `UsageError` for an item that is no real number, and
+    `DomainError` for a NaN, an infinity or an int beyond float64."""
     for v in values:
         try:
             finite = math.isfinite(v)
         except OverflowError:  # an int beyond float64; its repr may raise
             raise DomainError("value beyond float64") from None
+        except TypeError:
+            raise UsageError(f"not a real number: {shown(v)}") from None
         if not finite:
             raise DomainError(f"non-finite value: {v!r}")
 
@@ -43,14 +47,11 @@ class Amplitude:
     im: float
 
     def __post_init__(self) -> None:
-        try:
-            if not (math.isfinite(self.re) and math.isfinite(self.im)):
-                _require_finite(self.re, self.im)
-        except OverflowError:  # an int beyond float64
+        # parts are finite Python floats, so numpy scalars (whose
+        # arithmetic warns on overflow) go no further than here
+        if not (type(self.re) is float and type(self.im) is float and
+                math.isfinite(self.re) and math.isfinite(self.im)):
             _require_finite(self.re, self.im)
-        # parts are Python floats, so numpy scalars (whose arithmetic
-        # warns on overflow) go no further than here
-        if type(self.re) is not float or type(self.im) is not float:
             object.__setattr__(self, "re", float(self.re))
             object.__setattr__(self, "im", float(self.im))
 
@@ -86,6 +87,11 @@ def born_probability(a: Amplitude) -> Probability:
     return a.re * a.re + a.im * a.im
 
 
+def _not_amplitudes(amps: object, key: str = "amps") -> UsageError:
+    return UsageError(f"{key} must be a sequence of amplitudes, got "
+                      f"{shown(amps)}", key)
+
+
 def combine_exclusive(amps: Sequence[Amplitude]) -> Amplitude:
     """Total amplitude for a union of mutually exclusive alternatives.
 
@@ -96,9 +102,12 @@ def combine_exclusive(amps: Sequence[Amplitude]) -> Amplitude:
         raise UsageError("combine_exclusive requires at least one amplitude")
     re = 0.0
     im = 0.0
-    for a in amps:
-        re += a.re
-        im += a.im
+    try:
+        for a in amps:
+            re += a.re
+            im += a.im
+    except (AttributeError, TypeError):  # not iterable, or no amplitudes
+        raise _not_amplitudes(amps) from None
     return Amplitude(re, im)
 
 
@@ -109,8 +118,11 @@ def combine_independent(amps: Sequence[Amplitude]) -> Amplitude:
         raise UsageError("combine_independent requires at least one amplitude")
     re = 1.0
     im = 0.0
-    for a in amps:
-        re, im = re * a.re - im * a.im, re * a.im + im * a.re
+    try:
+        for a in amps:
+            re, im = re * a.re - im * a.im, re * a.im + im * a.re
+    except (AttributeError, TypeError):  # not iterable, or no amplitudes
+        raise _not_amplitudes(amps) from None
     return Amplitude(re, im)
 
 

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .amplitude import (ONE, ZERO, Amplitude, Probability, SignedProbability,
-                        _require_finite, born_probability)
+                        _not_amplitudes, _require_finite, born_probability)
 from .errors import DomainError, UsageError, shown
 
 # The least distance from 1 within which a space's Born total counts as
@@ -39,9 +39,7 @@ class SampleSpace:
     from `classical_space` starts from its magnitudes, any other from its
     amplitudes; each makes the other vector on first read, as a
     `functools.cached_property`, and both kinds equal, hash and print
-    alike. That fill makes each attribute read of the space about 4x as
-    slow, 12 -> 44-52 ns (timeit, Python 3.11, 2 vCPUs); no CLI run reads
-    a lazy vector. Copies and pickles are rebuilt by the constructor.
+    alike. Copies and pickles are rebuilt by the constructor.
     """
 
     labels: Tuple[str, ...]
@@ -53,8 +51,12 @@ class SampleSpace:
     _normalized: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._settle(len(self.amplitudes),
-                     map(born_probability, self.amplitudes))
+        try:  # a generator has no len, and is not kept
+            n_amplitudes = len(self.amplitudes)
+            born = tuple(map(born_probability, self.amplitudes))
+        except (AttributeError, TypeError):  # no sequence of amplitudes
+            raise _not_amplitudes(self.amplitudes, "amplitudes") from None
+        self._settle(n_amplitudes, born)
 
     @classmethod
     def _phase_zero(cls, labels: Tuple[str, ...],

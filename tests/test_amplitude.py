@@ -106,6 +106,22 @@ def test_an_int_beyond_float64_raises_the_library_error(build, error, key,
     assert "0000" not in str(exc.value)
 
 
+@pytest.mark.parametrize("build, key", [
+    (lambda: Amplitude("1", 0.0), None),
+    (lambda: Amplitude(1j, 0.0), None),
+    (lambda: Amplitude.from_polar("1", 0.0), None),
+    (lambda: combine_exclusive([1.0]), "amps"),
+    (lambda: combine_independent([1.0]), "amps"),
+    (lambda: combine_exclusive(5), "amps"),
+], ids=["text_part", "complex_part", "text_magnitude", "exclusive_float",
+        "independent_float", "exclusive_int"])
+def test_an_input_that_is_no_amplitude_raises_a_usage_error(build, key):
+    # each raised a bare TypeError or AttributeError
+    with pytest.raises(UsageError) as exc:
+        build()
+    assert exc.value.key == key
+
+
 def test_born_examples():
     assert born_probability(Amplitude(0.6, 0.8)) == pytest.approx(1.0, abs=1e-15)
     assert born_probability(Amplitude(0, 0)) == 0.0

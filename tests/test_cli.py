@@ -35,6 +35,19 @@ FREQ = ("experiment = freq\nweights = 1, 1\nlabels = h, t\n"
         "schedule = 100, 10000, 1000000\nseed = 0\n")
 
 
+def assert_same_text(got, want):
+    """Fail unless the str or bytes `got` equals `want`, reporting both
+    lengths and about 40 characters on each side of the first difference.
+    pytest's own report of a long `==` diffs the two texts with difflib,
+    which is quadratic in their lines and can take minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        lo = max(0, at - 40)
+        pytest.fail(f"texts differ: lengths {len(got)} and {len(want)}, first "
+                    f"at offset {at}\n got: {got[lo:at + 40]!r}\n"
+                    f"want: {want[lo:at + 40]!r}")
+
+
 def run_cli(tmp_path, text, name="cfg", extra=()):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(text)
@@ -117,7 +130,7 @@ def test_byte_identical_reruns(tmp_path, text):
         pa, pb = out_a.with_suffix(suffix), out_b.with_suffix(suffix)
         assert pa.exists() == pb.exists()
         if pa.exists():
-            assert pa.read_bytes() == pb.read_bytes()
+            assert_same_text(pa.read_bytes(), pb.read_bytes())
 
 
 def test_timestamp_present_by_default(tmp_path):
@@ -336,8 +349,8 @@ def test_freq_phase_is_echoed_and_changes_no_estimate(tmp_path):
     del summary["phase"]
     assert summary == {k: v for k, v in json.loads(
         plain.with_suffix(".json").read_text()).items() if k != "phase"}
-    assert turned.with_suffix(".csv").read_bytes() == \
-        plain.with_suffix(".csv").read_bytes()
+    assert_same_text(turned.with_suffix(".csv").read_bytes(),
+                     plain.with_suffix(".csv").read_bytes())
 
 
 def test_dotted_output_bases_do_not_collide(tmp_path):
@@ -517,8 +530,9 @@ def check_nslit_csv(tmp_path, monkeypatch, points):
     monkeypatch.setattr(slits, "refined_maxima", lambda profile: [])
     params = {"y_min": -1.0, "y_max": 1.0, "n_points": len(ys),
               "open_slits": [0]}
-    assert written_csv(tmp_path, "nslit", None, params) == csv_module_text(
-        [("y_m", "probability"), *points]).encode("utf-8")
+    assert_same_text(written_csv(tmp_path, "nslit", None, params),
+                     csv_module_text([("y_m", "probability"),
+                                      *points]).encode("utf-8"))
 
 
 def check_sorkin_csv(tmp_path, monkeypatch, points):
@@ -531,9 +545,10 @@ def check_sorkin_csv(tmp_path, monkeypatch, points):
               "triple": [2, 0, 1]}
     # numpy's max, which a NaN probability makes NaN
     peak = float(np.max(probs))
-    assert written_csv(tmp_path, "sorkin", None, params) == csv_module_text(
-        [("y_m", "I3", "peak_scale"),
-         *((y, r, peak) for y, _, r in points)]).encode("utf-8")
+    rows = [(y, r, peak) for y, _, r in points]
+    assert_same_text(written_csv(tmp_path, "sorkin", None, params),
+                     csv_module_text([("y_m", "I3", "peak_scale"),
+                                      *rows]).encode("utf-8"))
 
 
 def check_freq_csv(tmp_path, monkeypatch, labels, schedule, estimates,
@@ -547,11 +562,12 @@ def check_freq_csv(tmp_path, monkeypatch, labels, schedule, estimates,
                         lambda *args: report)
     space = events.classical_space([1.0] * len(labels), labels)
     params = {"schedule": schedule, "seed": 0, "phase": 0.0}
-    assert written_csv(tmp_path, "freq", space, params) == csv_module_text(
-        [("N", "outcome", "estimate", "abs_error"),
-         *((n, lab, e, r)
-           for n, est, err in zip(schedule, estimates, errors)
-           for lab, e, r in zip(labels, est, err))]).encode("utf-8")
+    rows = [(n, lab, e, r)
+            for n, est, err in zip(schedule, estimates, errors)
+            for lab, e, r in zip(labels, est, err)]
+    assert_same_text(written_csv(tmp_path, "freq", space, params),
+                     csv_module_text([("N", "outcome", "estimate",
+                                       "abs_error"), *rows]).encode("utf-8"))
 
 
 @FUNCTION_SCOPED
@@ -739,7 +755,7 @@ def streamed(table, per_text):
 @example({"peak_positions_m": (np.arange(10 ** 4) / 7e6 - 7e-4).tolist()}, 1)
 def test_json_chunks_are_json_indent_2(summary, per_text):
     expected = json.dumps(summary, indent=2)
-    assert "".join(cli._json_chunks(summary)) == expected
+    assert_same_text("".join(cli._json_chunks(summary)), expected)
     # each dict of scalars again, as an iterator of encoded members (an
     # empty one included, which reads `{}`)
     scalar_dicts = [key for key, value in summary.items()
@@ -747,7 +763,7 @@ def test_json_chunks_are_json_indent_2(summary, per_text):
                         isinstance(v, list) for v in value.values())]
     summary.update((key, streamed(summary[key], per_text))
                    for key in scalar_dicts)
-    assert "".join(cli._json_chunks(summary)) == expected
+    assert_same_text("".join(cli._json_chunks(summary)), expected)
 
 
 @pytest.mark.parametrize("text", [
@@ -761,7 +777,8 @@ def test_written_json_is_json_indent_2(tmp_path, text):
     code, out = run_cli(tmp_path, text)
     assert code == 0
     raw = out.with_suffix(".json").read_bytes()
-    assert raw == (json.dumps(json.loads(raw), indent=2) + "\n").encode()
+    assert_same_text(raw,
+                     (json.dumps(json.loads(raw), indent=2) + "\n").encode())
 
 
 def test_one_kernel_pass_per_sorkin_run(tmp_path, monkeypatch):
@@ -919,8 +936,8 @@ def test_streamed_joint_table_is_the_old_dict_written(outcomes):
     weights, labels = zip(*outcomes)
     space = events.classical_space(weights, labels)
     summary = {"experiment": "coin", **config._run_coin(space, {})[0]}
-    assert "".join(cli._json_chunks(summary)) == \
-        json.dumps(old_coin_summary(space), indent=2)
+    assert_same_text("".join(cli._json_chunks(summary)),
+                     json.dumps(old_coin_summary(space), indent=2))
 
 
 @pytest.mark.parametrize("text", [SORKIN, FREQ], ids=["sorkin", "freq"])

@@ -218,6 +218,23 @@ def test_space_rejects_an_overflowing_total():
                                  Amplitude(0.0, 1e154)))
 
 
+@pytest.mark.parametrize("build, key", [
+    (lambda: union_decomposition("0.5", 0.5, 0.0), None),
+    (lambda: SampleSpace(("a",), (1.0,)), "amplitudes"),
+    (lambda: SampleSpace(("a",), None), "amplitudes"),
+    # a generator would be used up and kept as the space's amplitudes
+    (lambda: SampleSpace(("a",), (a for a in [ONE])), "amplitudes"),
+    # with good amplitudes a bad label is still named `labels`
+    (lambda: SampleSpace(("a", "a"), (ONE, ZERO)), "labels"),
+], ids=["union_text", "space_float", "space_none", "space_generator",
+        "space_labels"])
+def test_an_input_that_is_no_amplitude_is_named_by_its_key(build, key):
+    # the first four raised a bare TypeError or AttributeError
+    with pytest.raises(UsageError) as exc:
+        build()
+    assert exc.value.key == key
+
+
 def test_union_decomposition_examples():
     r = union_decomposition(0.5, 0.5, 0.0)
     assert r.p_union == 1.0

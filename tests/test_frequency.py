@@ -88,6 +88,15 @@ def test_ledger_invariant():
         TrialLedger(counts={"a": 1, "b": 1}, total_n=3, seed=0)
 
 
+@pytest.mark.parametrize("phase", ["x", 1j], ids=["text", "complex"])
+def test_a_phase_that_is_no_real_number_raises_a_usage_error(phase):
+    # each raised a bare TypeError from math.isfinite
+    ledger = TrialLedger(counts={"a": 1}, total_n=1, seed=0)
+    with pytest.raises(UsageError, match="not a real number") as exc:
+        amplitude_from_frequency(ledger, "a", phase)
+    assert exc.value.key is None
+
+
 def test_amplitude_from_frequency_examples():
     ledger = TrialLedger(counts={"a": 10, "b": 0}, total_n=10, seed=0)
     assert amplitude_from_frequency(ledger, "a").magnitude == 1.0

@@ -879,13 +879,16 @@ def test_a_bad_geometry_or_detector_is_named_by_its_key(call, key, value):
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", ["wavelength", "source_x", "source_y",
                                   "slit_plane_x", "screen_plane_x",
-                                  "slit_offsets"])
+                                  "slit_offsets", "check_detectors",
+                                  "delayed_choice"])
 def test_a_non_finite_geometry_length_is_named_by_its_key(name, value):
-    # an infinite screen_plane_x would give 2 - 4e-16 at every point, and
-    # the excess-path rule would name a non-finite source_y `wavelength`
+    # an infinite screen_plane_x would give 2 - 4e-16 at every point, the
+    # excess-path rule would name a non-finite source_y `wavelength`, and
+    # a NaN detector read "excess path nan wavelengths"
     call, key = REAL_ARGUMENTS[name]
+    sequence = name in ("slit_offsets", "check_detectors", "delayed_choice")
     with pytest.raises(UsageError, match=f"{key} must be finite") as exc:
-        call((0.0, value) if name == "slit_offsets" else value)
+        call((0.0, value) if sequence else value)
     assert exc.value.key == key
 
 
